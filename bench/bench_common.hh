@@ -78,8 +78,8 @@ parseThreads(const ArgParser &args)
  * Run a sweep grid on `threads` workers, with per-point progress on
  * stderr ("tag: [k/n] <label> done" -- the grid's stable labels, not a
  * bare counter). Results come back in point order and are identical
- * for any thread count. Optional `hooks` thread the crash-safety seam
- * (result journal, warm-checkpoint store) through to the runner.
+ * for any thread count. Optional `hooks` thread the persistence seams
+ * (result store, warm-checkpoint store) through to the runner.
  */
 inline std::vector<SimResult>
 runAll(const std::vector<GridPoint> &points, int threads,

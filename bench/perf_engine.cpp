@@ -2,8 +2,7 @@
  * @file
  * Simulation-engine throughput bench: how many simulated accesses per
  * second the engine sustains, per design, plus trace-replay speed, a
- * multiprogrammed mix at a given --engine-threads count, the
- * datacenter-scale ycsb-kv arms (4/64/256 cores with a resident-set
+ * multiprogrammed mix, the datacenter-scale ycsb-kv arms (4/64/256 cores with a resident-set
  * proxy), the convergence grid with and without warm-checkpoint
  * grouping, and the wall-clock of a figure-style sweep at a given
  * --threads count.
@@ -120,9 +119,6 @@ main(int argc, char **argv)
                    "5 full)");
     args.addOption("out", "",
                    "also write the JSON report to this file");
-    args.addOption("engine-threads", "1",
-                   "system.engineThreads for the mix-engine section "
-                   "(results are bit-identical for any value)");
     addThreadsOption(args);
     args.parse(argc, argv);
 
@@ -131,10 +127,6 @@ main(int argc, char **argv)
     const std::uint64_t seed = args.getUint("seed");
     const std::string out_path = args.getString("out");
     const int threads = parseThreads(args);
-    const int engine_threads =
-        static_cast<int>(args.getUint("engine-threads"));
-    if (engine_threads < 1)
-        fatal("--engine-threads must be >= 1, got ", engine_threads);
 
     std::int64_t repeats = args.getInt("repeats");
     if (repeats == 0)
@@ -188,9 +180,7 @@ main(int argc, char **argv)
     replay.name = "trace replay (Unison)";
     replay.accesses = replay_n;
 
-    // Multiprogrammed spec for the intra-experiment engine section:
-    // per-core-deterministic streams are what lets engineThreads > 1
-    // engage the epoch-sharded producers.
+    // Multiprogrammed spec: one generator per core, two programs.
     const auto mix_spec = [&]() {
         ExperimentSpec spec;
         spec.design = DesignKind::Unison;
@@ -200,12 +190,10 @@ main(int argc, char **argv)
         spec.system.numCores = 8;
         spec.mix = {mixPreset(Workload::WebServing, 4),
                     mixPreset(Workload::DataServing, 4)};
-        spec.system.engineThreads = engine_threads;
         return spec;
     }();
     Measurement mix_engine;
-    mix_engine.name = "mix engine (engineThreads " +
-                      std::to_string(engine_threads) + ")";
+    mix_engine.name = "mix engine";
     mix_engine.accesses = mix_spec.accesses;
 
     // Memory-backend cost: the same spec through the fast analytic
@@ -300,10 +288,7 @@ main(int argc, char **argv)
              figureGrid("datacenter", fopts)) {
             if (point.label.find("/ycsb-kv") == std::string::npos)
                 continue;
-            // Same --engine-threads as the mix_engine baseline, so
-            // the per-core comparison is engine-for-engine.
-            ExperimentSpec spec = point.spec;
-            spec.system.engineThreads = engine_threads;
+            const ExperimentSpec &spec = point.spec;
             DatacenterPoint dp;
             dp.cores = spec.system.numCores;
             dp.accesses = spec.accesses;
@@ -385,14 +370,14 @@ main(int argc, char **argv)
 
     // --- Report -------------------------------------------------------
     // Schema-stable JSON (tracked as BENCH_engine.json at the repo
-    // root): add fields if needed, do not rename or remove them.
+    // root): add fields if needed; renaming or removing one bumps the
+    // schema version.
     std::string report;
     appendf(report,
-            "{\n  \"schema\": \"perf_engine/5\",\n"
+            "{\n  \"schema\": \"perf_engine/6\",\n"
             "  \"quick\": %s,\n  \"threads\": %d,\n"
-            "  \"engine_threads\": %d,\n"
             "  \"repeats\": %lld,\n",
-            quick ? "true" : "false", threads, engine_threads,
+            quick ? "true" : "false", threads,
             static_cast<long long>(repeats));
     report += "  \"engine\": [\n";
     for (std::size_t i = 0; i < engine.size(); ++i) {
@@ -412,10 +397,8 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(replay.accesses),
             replay.medianSeconds(), replay.rate());
     appendf(report,
-            "  \"mix_engine\": {\"engine_threads\": %d, "
-            "\"accesses\": %llu, \"seconds\": %.6f, "
-            "\"accesses_per_sec\": %.0f},\n",
-            engine_threads,
+            "  \"mix_engine\": {\"accesses\": %llu, "
+            "\"seconds\": %.6f, \"accesses_per_sec\": %.0f},\n",
             static_cast<unsigned long long>(mix_engine.accesses),
             mix_engine.medianSeconds(), mix_engine.rate());
     report += "  \"datacenter\": [\n";

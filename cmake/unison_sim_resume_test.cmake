@@ -1,16 +1,19 @@
-# ctest helper: the crash-safety contract of --journal/--resume and
+# ctest helper: the crash-safety contract of --store and
 # --warm-ckpt-dir, driven end-to-end through the unison_sim binary.
 #
-#  1. a run killed (deterministically, via the UNISON_FAULT write-kill
-#     injection: _exit(137) at an exact journal byte) and then resumed
-#     produces byte-identical JSON to an uninterrupted run;
-#  2. resuming a *completed* journal replays every point, again
+#  1. a store prefilled by one shard of the smoke grid, then a full
+#     --store run killed (deterministically, via the UNISON_FAULT
+#     write-kill injection: _exit(137) at an exact byte of the first
+#     new object's temp file): rerunning the same command completes
+#     the sweep byte-identically to an uninterrupted run, serving at
+#     least the prefilled points from the store;
+#  2. rerunning the completed sweep replays every point, again
 #     byte-identically;
 #  3. a corrupt warm-checkpoint file (read-corrupt injection) is
 #     rejected with a structured warning and the run falls back to a
 #     cold warm-up, byte-identical to a store-less run;
-#  4. the classified exit codes hold: 2 for usage errors, 4 for
-#     corrupt input.
+#  4. the classified exit codes hold: 2 for usage errors, 3 for I/O,
+#     4 for corrupt input.
 #
 # Invoked as:
 #   cmake -DUNISON_SIM_BIN=<path> -DSMOKE_SPEC=<specs/smoke.json>
@@ -27,6 +30,14 @@ endif()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
+# Store hits a run reported on stderr ("store <dir>: N hit(s), ...").
+function(store_hits err out_var)
+  if(NOT err MATCHES "store [^\n]*: ([0-9]+) hit\\(s\\), ([0-9]+) insert")
+    message(FATAL_ERROR "no store summary on stderr:\n${err}")
+  endif()
+  set(${out_var} ${CMAKE_MATCH_1} PARENT_SCOPE)
+endfunction()
+
 # ----------------------------------------------------------- golden
 execute_process(
   COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
@@ -35,85 +46,100 @@ execute_process(
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "uninterrupted run failed (${rc}):\n${err}")
 endif()
+file(READ ${WORK_DIR}/golden.json golden)
 
-# Complete journaled run, to learn the full journal size (record
-# boundaries depend on JSON payload sizes, so the kill offset is
-# computed, not hard-coded).
+# ------------------------------------------- prefill with one shard
+set(store ${WORK_DIR}/store)
 execute_process(
   COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal
-          --out ${WORK_DIR}/journaled.json
+          --shard 0/2 --store ${store} --out ${WORK_DIR}/shard0.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "journaled run failed (${rc}):\n${err}")
+  message(FATAL_ERROR "prefill run failed (${rc}):\n${err}")
 endif()
-file(READ ${WORK_DIR}/golden.json golden)
-file(READ ${WORK_DIR}/journaled.json journaled)
-if(NOT golden STREQUAL journaled)
-  message(FATAL_ERROR "--journal alone perturbed the output")
-endif()
-file(SIZE ${WORK_DIR}/full.journal journal_size)
-if(journal_size LESS 100)
-  message(FATAL_ERROR "journal implausibly small (${journal_size}B)")
+file(GLOB prefilled ${store}/objects/*.res)
+list(LENGTH prefilled n_prefilled)
+if(n_prefilled EQUAL 0)
+  message(FATAL_ERROR "the prefill run published no store objects")
 endif()
 
-# ------------------------------------------- kill mid-journal, resume
-# Die halfway into the journal byte stream: at least one record has
-# been made durable, at least one is lost or torn.
-math(EXPR kill_at "${journal_size} / 2")
+# ---------------------------------- kill while publishing, then rerun
+# Die halfway into the temp file of the first object the full run
+# publishes: the prefilled points are hits, the first fresh point is
+# lost mid-write. Object sizes depend on their JSON payloads, so the
+# kill offset is computed, not hard-coded.
+list(GET prefilled 0 first_object)
+file(SIZE ${first_object} object_size)
+math(EXPR kill_at "${object_size} / 2")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
-          "UNISON_FAULT=write-kill@crash.journal:${kill_at}"
+          "UNISON_FAULT=write-kill@/objects/.tmp.:${kill_at}"
           ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/crash.journal
-          --out ${WORK_DIR}/crashed.json
+          --store ${store} --out ${WORK_DIR}/crashed.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 137)
   message(FATAL_ERROR
-    "expected the injected kill (exit 137) at journal byte "
+    "expected the injected kill (exit 137) at temp-object byte "
     "${kill_at}, got exit ${rc}:\n${err}")
 endif()
 if(EXISTS ${WORK_DIR}/crashed.json)
   message(FATAL_ERROR "killed run must not have written its output")
 endif()
-file(SIZE ${WORK_DIR}/crash.journal crash_size)
-if(NOT crash_size EQUAL ${kill_at})
+file(GLOB survivors ${store}/objects/*.res)
+list(LENGTH survivors n_survivors)
+if(NOT n_survivors EQUAL n_prefilled)
   message(FATAL_ERROR
-    "kill injection persisted ${crash_size}B, expected ${kill_at}B")
+    "killed run left ${n_survivors} objects, expected ${n_prefilled}")
+endif()
+file(GLOB torn ${store}/objects/.tmp.*)
+list(LENGTH torn n_torn)
+if(NOT n_torn EQUAL 1)
+  message(FATAL_ERROR "expected one torn temp object, found ${n_torn}")
+endif()
+file(SIZE ${torn} torn_size)
+if(NOT torn_size EQUAL ${kill_at})
+  message(FATAL_ERROR
+    "kill injection persisted ${torn_size}B, expected ${kill_at}B")
 endif()
 
 execute_process(
   COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/crash.journal --resume
-          --out ${WORK_DIR}/resumed.json
+          --store ${store} --out ${WORK_DIR}/resumed.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume after kill failed (${rc}):\n${err}")
+  message(FATAL_ERROR "rerun after kill failed (${rc}):\n${err}")
 endif()
-string(FIND "${err}" "replaying" found)
-if(found EQUAL -1)
+store_hits("${err}" hits)
+if(hits LESS n_prefilled)
   message(FATAL_ERROR
-    "resume did not report replayed points:\n${err}")
+    "rerun served ${hits} store hit(s), expected at least "
+    "${n_prefilled}:\n${err}")
 endif()
 file(READ ${WORK_DIR}/resumed.json resumed)
 if(NOT golden STREQUAL resumed)
   message(FATAL_ERROR
-    "kill+resume output differs from the uninterrupted run\n"
+    "kill+rerun output differs from the uninterrupted run\n"
     "--- golden ---\n${golden}\n--- resumed ---\n${resumed}")
 endif()
 
-# ------------------------------------- resume of a completed journal
+# --------------------------------------- rerun of a completed sweep
 execute_process(
   COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal --resume
-          --out ${WORK_DIR}/replayed.json
+          --store ${store} --out ${WORK_DIR}/replayed.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "full replay failed (${rc}):\n${err}")
 endif()
+store_hits("${err}" hits)
+file(GLOB objects ${store}/objects/*.res)
+list(LENGTH objects n_objects)
+if(NOT hits EQUAL n_objects)
+  message(FATAL_ERROR
+    "completed sweep served ${hits} of ${n_objects} points:\n${err}")
+endif()
 file(READ ${WORK_DIR}/replayed.json replayed)
 if(NOT golden STREQUAL replayed)
-  message(FATAL_ERROR "full journal replay differs from golden")
+  message(FATAL_ERROR "full store replay differs from golden")
 endif()
 
 # -------------------------- corrupt warm checkpoint: graceful fallback
@@ -218,21 +244,20 @@ endif()
 
 # --------------------------------------------- classified exit codes
 execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --resume
+  COMMAND ${UNISON_SIM_BIN} --merge ${WORK_DIR}/shard0.json
+          --store ${store}
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
-    "--resume without --journal must exit 2 (usage), got ${rc}")
+    "--store on a --merge must exit 2 (usage), got ${rc}")
 endif()
 
 execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal
+  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --shard 2/2
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
-    "--journal on an existing journal without --resume must exit 2 "
-    "(usage), got ${rc}")
+    "--shard 2/2 (index out of range) must exit 2 (usage), got ${rc}")
 endif()
 
 file(WRITE ${WORK_DIR}/bad.json "{\"schema\": \"unison-grid/1\", ")

@@ -68,20 +68,6 @@ class CacheHierarchy
         UNISON_ASSERT(core >= 0 && core < static_cast<int>(l1s_.size()),
                       "core ", core, " out of range");
         const SramAccessResult l1res = l1s_[core].access(addr, is_write);
-        return finishAccess(l1res, addr, is_write);
-    }
-
-    /**
-     * The shared-level half of access(): everything after the private
-     * L1 probe. The epoch-sharded engine's producer threads run the L1
-     * half themselves (each L1's evolution depends only on its own
-     * core's stream) and its commit thread replays the recorded L1
-     * outcome through this, in exactly the order the serial engine
-     * would have -- which is the whole determinism argument.
-     */
-    HierarchyOutcome
-    finishAccess(const SramAccessResult &l1res, Addr addr, bool is_write)
-    {
         HierarchyOutcome outcome;
         if (l1res.hit) {
             outcome.level = HierarchyOutcome::Level::L1;
@@ -114,11 +100,6 @@ class CacheHierarchy
     const SetAssocCache &l1(int core) const { return l1s_[core]; }
     const SetAssocCache &l2() const { return l2_; }
     const HierarchyConfig &config() const { return config_; }
-
-    /** Mutable L1 handle for the engine's producer threads (each one
-     *  owns a disjoint core shard, so there is no sharing to police
-     *  beyond that ownership). */
-    SetAssocCache &l1Front(int core) { return l1s_[core]; }
 
     /** Warm-state checkpoint of every SRAM level (see state_io.hh). */
     void

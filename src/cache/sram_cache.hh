@@ -91,19 +91,61 @@ class SetAssocCache
     SramAccessResult
     access(Addr addr, bool is_write)
     {
-        return accessImpl<true>(addr, is_write);
-    }
+        ++stats_.accesses;
+        const std::uint64_t block = addr >> blockShift_;
+        const std::uint64_t set = block & (numSets_ - 1);
+        const std::uint64_t tag = block >> setShift_;
+        const std::uint64_t key = kValid | tag;
+        const std::size_t base = set * config_.assoc;
+        std::uint64_t *const tags = &meta_[base];
 
-    /**
-     * access() without the statistic bumps: the epoch-sharded engine's
-     * producer threads run their cores' private L1s through this so
-     * the worker threads never race on the shared counters; the commit
-     * thread accounts the L1 totals itself from the outcomes.
-     */
-    SramAccessResult
-    accessQuiet(Addr addr, bool is_write)
-    {
-        return accessImpl<false>(addr, is_write);
+        SramAccessResult result;
+        // MRU fast path. A hit on the hinted way needs no restamp: the
+        // most recently touched way of a set by construction holds the
+        // set's maximum LRU stamp, and victim selection compares
+        // stamps only within a set, so skipping the write (and the
+        // global counter bump) leaves every eviction decision
+        // bit-identical while touching one cache line instead of two.
+        const std::uint32_t mru = mru_[set];
+        if ((tags[mru] & ~kDirty) == key) {
+            ++stats_.hits;
+            if (is_write)
+                tags[mru] |= kDirty;
+            result.hit = true;
+            return result;
+        }
+
+        // One fused sweep finds the hit way and, failing that, the
+        // victim the miss path needs (invalid first, else LRU).
+        int way;
+        std::uint32_t victim;
+        scanSetFast(tags, &lastUse_[base], config_.assoc, ~kDirty, key,
+                    kValid, way, victim);
+        if (way >= 0) {
+            ++stats_.hits;
+            lastUse_[base + way] = ++useCounter_;
+            if (is_write)
+                tags[way] |= kDirty;
+            mru_[set] = static_cast<std::uint8_t>(way);
+            result.hit = true;
+            return result;
+        }
+        const std::uint64_t old = tags[victim];
+        if (old != 0) {
+            ++stats_.evictions;
+            if ((old & kDirty) != 0) {
+                ++stats_.writebacks;
+                result.writeback = true;
+                const std::uint64_t victim_block =
+                    ((old & kTagMask) << setShift_) | set;
+                result.writebackAddr = victim_block << blockShift_;
+            }
+        }
+        ++stats_.misses;
+        tags[victim] = key | (is_write ? kDirty : 0);
+        lastUse_[base + victim] = ++useCounter_;
+        mru_[set] = static_cast<std::uint8_t>(victim);
+        return result;
     }
 
     /** True if the block is resident (no state change). */
@@ -141,73 +183,6 @@ class SetAssocCache
     std::uint32_t numSets() const { return numSets_; }
 
   private:
-    template <bool CountStats>
-    SramAccessResult
-    accessImpl(Addr addr, bool is_write)
-    {
-        if constexpr (CountStats)
-            ++stats_.accesses;
-        const std::uint64_t block = addr >> blockShift_;
-        const std::uint64_t set = block & (numSets_ - 1);
-        const std::uint64_t tag = block >> setShift_;
-        const std::uint64_t key = kValid | tag;
-        const std::size_t base = set * config_.assoc;
-        std::uint64_t *const tags = &meta_[base];
-
-        SramAccessResult result;
-        // MRU fast path. A hit on the hinted way needs no restamp: the
-        // most recently touched way of a set by construction holds the
-        // set's maximum LRU stamp, and victim selection compares
-        // stamps only within a set, so skipping the write (and the
-        // global counter bump) leaves every eviction decision
-        // bit-identical while touching one cache line instead of two.
-        const std::uint32_t mru = mru_[set];
-        if ((tags[mru] & ~kDirty) == key) {
-            if constexpr (CountStats)
-                ++stats_.hits;
-            if (is_write)
-                tags[mru] |= kDirty;
-            result.hit = true;
-            return result;
-        }
-
-        // One fused sweep finds the hit way and, failing that, the
-        // victim the miss path needs (invalid first, else LRU).
-        int way;
-        std::uint32_t victim;
-        scanSetFast(tags, &lastUse_[base], config_.assoc, ~kDirty, key,
-                    kValid, way, victim);
-        if (way >= 0) {
-            if constexpr (CountStats)
-                ++stats_.hits;
-            lastUse_[base + way] = ++useCounter_;
-            if (is_write)
-                tags[way] |= kDirty;
-            mru_[set] = static_cast<std::uint8_t>(way);
-            result.hit = true;
-            return result;
-        }
-        const std::uint64_t old = tags[victim];
-        if (old != 0) {
-            if constexpr (CountStats)
-                ++stats_.evictions;
-            if ((old & kDirty) != 0) {
-                if constexpr (CountStats)
-                    ++stats_.writebacks;
-                result.writeback = true;
-                const std::uint64_t victim_block =
-                    ((old & kTagMask) << setShift_) | set;
-                result.writebackAddr = victim_block << blockShift_;
-            }
-        }
-        if constexpr (CountStats)
-            ++stats_.misses;
-        tags[victim] = key | (is_write ? kDirty : 0);
-        lastUse_[base + victim] = ++useCounter_;
-        mru_[set] = static_cast<std::uint8_t>(victim);
-        return result;
-    }
-
     SramCacheConfig config_;
     std::uint32_t numSets_;
     std::uint32_t blockShift_;

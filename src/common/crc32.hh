@@ -1,7 +1,7 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
- * buffers. Shared by the result journal's record frames and the
+ * buffers. Shared by the result store's record frames and the
  * checkpoint file header: both need a cheap, dependency-free,
  * platform-stable integrity check that catches truncation and
  * bit-flips -- not cryptographic tamper resistance.

@@ -1,10 +1,8 @@
 /**
  * @file
  * The one CRC-32 framing implementation every durability format in the
- * tree shares. Three consumers:
+ * tree shares. Two consumers:
  *
- *  - the result journal (sim/journal.cc): an append-only *stream* of
- *    record frames, walked back after a crash to its clean prefix;
  *  - the checkpoint store (via common/file_io.hh's framed files): one
  *    versioned frame per file;
  *  - the content-addressed result store (store/result_store.cc): one

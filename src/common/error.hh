@@ -7,11 +7,11 @@
  * can tell failure kinds apart without parsing messages:
  *
  *  - Usage (exit 2): the caller asked for something malformed --
- *    contradictory flags, a bad shard expression, --resume without
- *    --journal. Retrying without fixing the invocation cannot help.
+ *    contradictory flags, a bad shard expression, --store on a
+ *    --merge. Retrying without fixing the invocation cannot help.
  *  - Io (exit 3): the environment failed us -- unreadable spec file,
- *    full disk, a journal append that could not be made durable. The
- *    input may be fine; retrying after fixing the environment can.
+ *    full disk, an unwritable output file. The input may be fine;
+ *    retrying after fixing the environment can.
  *  - Corrupt (exit 4): data failed its own integrity contract -- bad
  *    JSON, schema mismatch, CRC failure, truncated checkpoint,
  *    mismatched shard fingerprints. Retrying reproduces it; the file

@@ -17,8 +17,10 @@ pointFromToken(const std::string &token)
         return FaultPlan::Point::Write;
     if (token == "read")
         return FaultPlan::Point::Read;
+    if (token == "sync")
+        return FaultPlan::Point::Sync;
     throwUsage("fault plan: unknown point '", token,
-               "' (write or read)");
+               "' (write, read or sync)");
 }
 
 FaultPlan::Mode
@@ -26,6 +28,9 @@ modeFromToken(const std::string &token, FaultPlan::Point point)
 {
     if (token == "fail")
         return FaultPlan::Mode::Fail;
+    if (point == FaultPlan::Point::Sync)
+        throwUsage("fault plan: unknown mode '", token,
+                   "' for sync (fail)");
     if (token == "corrupt")
         return FaultPlan::Mode::Corrupt;
     if (point == FaultPlan::Point::Write) {
@@ -87,16 +92,14 @@ FaultInjector::arm(const FaultPlan &plan)
     std::lock_guard<std::mutex> lock(mutex_);
     plan_ = plan;
     tripped_ = false;
+    syncs_ = 0;
     envChecked_ = true; // an explicit plan overrides the environment
 }
 
 void
 FaultInjector::disarm()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    plan_ = FaultPlan{};
-    tripped_ = false;
-    envChecked_ = true;
+    arm(FaultPlan{});
 }
 
 void
@@ -180,6 +183,16 @@ FaultInjector::onRead(const std::string &path, std::uint64_t begin,
         }
     }
     return d;
+}
+
+bool
+FaultInjector::onSync(const std::string &path)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (plan_.point != FaultPlan::Point::Sync ||
+        path.find(plan_.pathSubstr) == std::string::npos)
+        return false;
+    return syncs_++ >= plan_.offset;
 }
 
 } // namespace unison

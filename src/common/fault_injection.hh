@@ -1,9 +1,9 @@
 /**
  * @file
  * Deterministic fault injection on the durability file paths (result
- * journal, checkpoint files). Every byte that common/file_io.hh moves
- * passes through the process-wide FaultInjector, which can -- at an
- * exact byte offset of the cumulative stream to one file --
+ * store objects, checkpoint files). Every byte that common/file_io.hh
+ * moves passes through the process-wide FaultInjector, which can -- at
+ * an exact byte offset of the cumulative stream to one file --
  *
  *  - `fail`      persist the bytes before the offset, then report an
  *                I/O error (disk full / EIO), and keep failing;
@@ -18,16 +18,20 @@
  *  - `corrupt`   XOR one byte at the offset (write side flips it on
  *                the way to disk, read side on the way back).
  *
+ * A third point, `sync`, covers directory fsyncs (syncDirectory): a
+ * `sync-fail` plan lets the first <offset> syncs of matching
+ * directories succeed and fails every one after that.
+ *
  * A plan is armed programmatically (tests) or via the UNISON_FAULT
  * environment variable (process tests, CI):
  *
- *     UNISON_FAULT='write-kill@results.journal:4096'
+ *     UNISON_FAULT='write-kill@/objects/.tmp.:4096'
  *     UNISON_FAULT='read-corrupt@.ckpt:100'
+ *     UNISON_FAULT='sync-fail@/objects:0'
  *
  * i.e. `<point>-<mode>@<path-substring>:<byte-offset>`. Exactly one
  * plan per process; the offset is an absolute byte position in any
- * file whose path contains the substring (appends to an existing
- * journal count from the file's real size, not from zero). With no
+ * file whose path contains the substring. With no
  * plan armed the hooks are two predictable branches -- the seam costs
  * nothing in production runs (and sits nowhere near the simulation
  * hot path anyway).
@@ -51,6 +55,7 @@ struct FaultPlan
         None,
         Write,
         Read,
+        Sync, //!< directory fsync; `offset` counts syncs, not bytes
     };
     enum class Mode
     {
@@ -114,6 +119,9 @@ class FaultInjector
     ReadDecision onRead(const std::string &path, std::uint64_t begin,
                         std::size_t len);
 
+    /** Whether an fsync of directory `path` should fail. */
+    bool onSync(const std::string &path);
+
   private:
     FaultInjector() = default;
 
@@ -121,6 +129,7 @@ class FaultInjector
     FaultPlan plan_;
     bool envChecked_ = false;
     bool tripped_ = false; //!< fail mode is sticky once triggered
+    std::uint64_t syncs_ = 0; //!< matching directory syncs so far
 };
 
 } // namespace unison

@@ -68,32 +68,6 @@ injectedWrite(int fd, const std::string &path, std::uint64_t begin,
     return SimStatus::success();
 }
 
-SimStatus
-writeAll(const std::string &path, const void *data, std::size_t len,
-         bool append)
-{
-    const int flags =
-        O_WRONLY | O_CREAT | (append ? O_APPEND : O_TRUNC);
-    const int fd = ::open(path.c_str(), flags, 0644);
-    if (fd < 0)
-        return SimStatus::failure(SimErrc::Io, "cannot open " + path +
-                                                   " for writing: " +
-                                                   errnoText());
-    // The write's absolute start offset: the existing size for an
-    // append, 0 after O_TRUNC (the injector's offsets are file
-    // positions, not per-stream counters).
-    const off_t at = ::lseek(fd, 0, SEEK_END);
-    const std::uint64_t begin =
-        at > 0 ? static_cast<std::uint64_t>(at) : 0;
-    SimStatus status = injectedWrite(fd, path, begin, data, len);
-    if (status.ok() && ::fsync(fd) != 0)
-        status = SimStatus::failure(SimErrc::Io, "fsync of " + path +
-                                                     " failed: " +
-                                                     errnoText());
-    ::close(fd);
-    return status;
-}
-
 } // namespace
 
 bool
@@ -161,14 +135,43 @@ SimStatus
 writeFileBytes(const std::string &path,
                const std::vector<std::uint8_t> &bytes)
 {
-    return writeAll(path, bytes.data(), bytes.size(), /*append=*/false);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
+                          0644);
+    if (fd < 0)
+        return SimStatus::failure(SimErrc::Io, "cannot open " + path +
+                                                   " for writing: " +
+                                                   errnoText());
+    SimStatus status =
+        injectedWrite(fd, path, 0, bytes.data(), bytes.size());
+    if (status.ok() && ::fsync(fd) != 0)
+        status = SimStatus::failure(SimErrc::Io, "fsync of " + path +
+                                                     " failed: " +
+                                                     errnoText());
+    ::close(fd);
+    return status;
 }
 
 SimStatus
-appendFileBytes(const std::string &path, const void *data,
-                std::size_t len)
+syncDirectory(const std::string &dir)
 {
-    return writeAll(path, data, len, /*append=*/true);
+    auto &injector = FaultInjector::instance();
+    injector.armFromEnv();
+    if (injector.onSync(dir))
+        return SimStatus::failure(SimErrc::Io,
+                                  "fsync of directory " + dir +
+                                      " failed: injected I/O fault");
+    const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (fd < 0)
+        return SimStatus::failure(SimErrc::Io, "cannot open directory " +
+                                                   dir + ": " +
+                                                   errnoText());
+    SimStatus status = SimStatus::success();
+    if (::fsync(fd) != 0)
+        status = SimStatus::failure(SimErrc::Io,
+                                    "fsync of directory " + dir +
+                                        " failed: " + errnoText());
+    ::close(fd);
+    return status;
 }
 
 // ------------------------------------------------------ framed files

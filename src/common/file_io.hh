@@ -1,12 +1,12 @@
 /**
  * @file
  * Status-returning, fault-injectable file I/O for the durability
- * layer (result journal, checkpoint files, result output). Every byte
- * moved here passes through the FaultInjector seam, and every
- * function reports failure as a SimStatus instead of fatal()ing --
- * the callers decide between graceful degradation (a checkpoint that
- * will not load falls back to a cold run) and classified exit (a
- * journal that cannot be appended ends the run with the Io code).
+ * layer (result-store objects, checkpoint files, result output).
+ * Every byte moved here passes through the FaultInjector seam, and
+ * every function reports failure as a SimStatus instead of fatal()ing
+ * -- the callers decide between graceful degradation (a checkpoint
+ * that will not load falls back to a cold run, a store object that
+ * cannot be made durable is not counted) and classified exit.
  *
  * Also home of the framed-file container every binary durability file
  * uses: a `magic / version / payload-length / payload-CRC32` header
@@ -43,11 +43,10 @@ SimStatus readFileBytes(const std::string &path,
 SimStatus writeFileBytes(const std::string &path,
                          const std::vector<std::uint8_t> &bytes);
 
-/** Append to the end of the file (creating it), flushed and fsynced
- *  before returning success -- the journal's per-record durability
- *  barrier. */
-SimStatus appendFileBytes(const std::string &path, const void *data,
-                          std::size_t len);
+/** fsync a directory, making the entries created or renamed in it
+ *  durable -- the barrier after an atomic rename-into-place. Consults
+ *  the FaultInjector's sync point. */
+SimStatus syncDirectory(const std::string &dir);
 
 /** @name Framed container
  * Layout (little-endian, matching the raw-POD state format):

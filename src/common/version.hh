@@ -2,7 +2,7 @@
  * @file
  * The simulator's code-version tag: the compatibility key for every
  * durable artifact whose numbers must not be mixed across behaviour
- * changes -- result-journal records, results documents entering a
+ * changes -- result-store objects, results documents entering a
  * merge, and persistent warm-checkpoint files.
  *
  * Bump the tag whenever a change can alter simulated numbers or

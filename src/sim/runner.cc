@@ -15,8 +15,7 @@ namespace {
 /** Run the specs named by `todo` (indices into `specs`), in parallel
  *  on `workers` threads when it pays, through `run_one`. */
 void
-runBatch(const std::vector<ExperimentSpec> &specs,
-         const std::vector<std::size_t> &todo,
+runBatch(const std::vector<std::size_t> &todo,
          std::vector<SimResult> &results, std::size_t workers,
          const ExperimentCallback &on_done, std::mutex &done_mutex,
          const std::function<SimResult(std::size_t)> &run_one)
@@ -74,24 +73,16 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
         threads = hw == 0 ? 1 : static_cast<int>(hw);
     }
 
-    // Journal replay: points a previous (possibly killed) invocation
-    // already completed are restored, not re-simulated -- the
-    // crash-safety contract is that this substitution is invisible in
-    // the final output (results documents round-trip byte-exactly,
-    // ctest-enforced). Replays complete first, in index order, before
-    // any simulation starts. The result cache (content-addressed
-    // store) is consulted after the journal: same substitution
-    // contract, but keyed by spec content rather than run identity, so
-    // hits come from *any* previous run of the same spec and build.
+    // Result-cache replay: points any previous (possibly killed) run
+    // of the same spec and build completed are restored, not
+    // re-simulated -- the contract is that this substitution is
+    // invisible in the final output (results documents round-trip
+    // byte-exactly, ctest-enforced). Replays complete first, in index
+    // order, before any simulation starts.
     std::vector<char> replayed(specs.size(), 0);
-    if (hooks.journal != nullptr || hooks.cache != nullptr) {
+    if (hooks.cache != nullptr) {
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            const bool hit =
-                (hooks.journal != nullptr &&
-                 hooks.journal->tryLoad(i, results[i])) ||
-                (hooks.cache != nullptr &&
-                 hooks.cache->tryLoad(i, results[i]));
-            if (hit) {
+            if (hooks.cache->tryLoad(i, results[i])) {
                 replayed[i] = 1;
                 if (on_done)
                     on_done(i, results[i]);
@@ -185,32 +176,24 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
         return result;
     };
 
-    // Journal appends ride the same serialization as on_done (the
+    // Cache inserts ride the same serialization as on_done (the
     // done_mutex in the threaded path), and always run *before* the
-    // progress callback: once the user sees "done", the record is
-    // durable. Cache inserts follow the journal append -- publishing
-    // to the shared store is best-effort and must not delay the
-    // durability barrier.
+    // progress callback: once the user sees "done", the store has had
+    // its chance to make the point durable.
     const ExperimentCallback complete =
         [&](std::size_t i, const SimResult &result) {
-            if (hooks.journal != nullptr)
-                hooks.journal->record(i, result);
-            if (hooks.cache != nullptr)
-                hooks.cache->record(i, result);
+            hooks.cache->record(i, result);
             if (on_done)
                 on_done(i, result);
         };
     const ExperimentCallback &done_hook =
-        hooks.journal != nullptr || hooks.cache != nullptr ? complete
-                                                           : on_done;
+        hooks.cache != nullptr ? complete : on_done;
 
     std::mutex done_mutex;
-    runBatch(specs, phase1, results, workers, done_hook, done_mutex,
-             run_one);
+    runBatch(phase1, results, workers, done_hook, done_mutex, run_one);
     // The phase barrier (thread join) publishes the leaders' captured
     // snapshots to the phase-2 workers.
-    runBatch(specs, phase2, results, workers, done_hook, done_mutex,
-             run_one);
+    runBatch(phase2, results, workers, done_hook, done_mutex, run_one);
     return results;
 }
 

@@ -29,25 +29,25 @@ using ExperimentCallback =
     std::function<void(std::size_t index, const SimResult &result)>;
 
 /**
- * Durability seam for crash-safe sweeps: a journal that remembers
- * completed points across process deaths. Before simulating, the
- * runner offers every spec to tryLoad and *skips* the ones the
- * journal already holds; after each fresh completion it calls record
- * (serialized by the runner -- implementations may append to one
- * file without their own locking, but record() must make the result
- * durable before returning or die loudly: a silently dropped record
- * would resurrect as missing work, a silently *misrecorded* one as
- * wrong merged numbers).
+ * Result-cache seam: a store of completed results shared across runs
+ * and grids (store/result_store.hh). Before simulating, the runner
+ * offers every spec to tryLoad and *skips* the hits -- on_done fires
+ * for them without simulating, with byte-identical results. After
+ * each fresh completion it calls record (serialized by the runner),
+ * before on_done: a point reported done has been offered to the
+ * store. record() is best-effort -- implementations warn and drop
+ * instead of ending the run -- and a killed sweep resumes by running
+ * again over the same store.
  */
-class ResultJournalHook
+class ResultCacheHook
 {
   public:
-    virtual ~ResultJournalHook() = default;
+    virtual ~ResultCacheHook() = default;
 
     /** Replay a completed result for spec `index`; false = simulate. */
     virtual bool tryLoad(std::size_t index, SimResult &out) = 0;
 
-    /** Persist a freshly computed result for spec `index`. */
+    /** Publish a freshly computed result for spec `index`. */
     virtual void record(std::size_t index, const SimResult &result) = 0;
 };
 
@@ -68,24 +68,12 @@ class CheckpointStore
                       const WarmCheckpoint &ck) = 0;
 };
 
-/** Optional durability hooks; value-semantics bag of non-owning
- *  pointers (nullptr = feature off). */
+/** Optional hooks; value-semantics bag of non-owning pointers
+ *  (nullptr = feature off). */
 struct RunHooks
 {
-    ResultJournalHook *journal = nullptr;
     CheckpointStore *checkpoints = nullptr;
-
-    /**
-     * Result-cache seam (same contract as the journal hook, different
-     * provenance): a content-addressed store of completed results
-     * shared *across* runs and grids. Consulted after the journal in
-     * the replay pre-pass -- a hit fires on_done without simulating,
-     * with byte-identical results -- and offered every fresh
-     * completion via record(). Unlike the journal, record() here is an
-     * optimization, not a durability contract: implementations degrade
-     * (warn and drop) instead of ending the run.
-     */
-    ResultJournalHook *cache = nullptr;
+    ResultCacheHook *cache = nullptr;
 };
 
 /**
@@ -95,15 +83,15 @@ struct RunHooks
  * @param threads  worker threads; <= 1 runs serially on the calling
  *                 thread, 0 means std::thread::hardware_concurrency()
  * @param on_done  optional per-experiment completion hook
- * @param hooks    optional crash-safety hooks: journal-replayed specs
- *                 are never simulated (on_done still fires for them,
- *                 first and in index order), and warm checkpoints are
- *                 loaded from / saved to the store when profitable
+ * @param hooks    optional hooks: result-cache hits are never
+ *                 simulated (on_done still fires for them, first and
+ *                 in index order), and warm checkpoints are loaded
+ *                 from / saved to the store when profitable
  *
  * Results are bit-identical for any thread count -- and, with a
- * journal, for any interruption/resume history: each experiment owns
- * its workload RNG (seeded from the spec), its System and its caches;
- * the only shared state is the immutable Zipf sampler cache.
+ * result cache, for any interruption/rerun history: each experiment
+ * owns its workload RNG (seeded from the spec), its System and its
+ * caches; the only shared state is the immutable Zipf sampler cache.
  */
 std::vector<SimResult>
 runExperiments(const std::vector<ExperimentSpec> &specs, int threads = 1,

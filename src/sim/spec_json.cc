@@ -324,9 +324,10 @@ systemToJson(const SystemConfig &sys)
 /** `version`: schema version of the enclosing spec. engineThreads
  *  joined in v2 and memoryBackend in v3; an older document neither
  *  carries the newer keys (unknown-key rejection still fires if it
- *  does) nor needs them -- absent means the serial engine and the
- *  fast backend, which is what every older spec ran. v4 raised the
- *  core cap from 256 to kMaxCores (coreCap above). */
+ *  does) nor needs them -- absent means 1 and the fast backend, which
+ *  is what every older spec ran. engineThreads is range-checked and
+ *  round-tripped but ignored (SystemConfig::engineThreads). v4 raised
+ *  the core cap from 256 to kMaxCores (coreCap above). */
 SystemConfig
 systemFromJson(const Value &value, int version)
 {
@@ -738,12 +739,12 @@ resultsFromJson(const json::Value &value, std::string *grid_name,
 }
 
 std::string
-gridFingerprint(const std::string &grid_json)
+fnvFingerprint(const std::string &text)
 {
     // FNV-1a, 64-bit: cheap, dependency-free, and stable across
     // platforms -- this is a consistency check, not cryptography.
     std::uint64_t hash = 14695981039346656037ull;
-    for (const char c : grid_json) {
+    for (const char c : text) {
         hash ^= static_cast<unsigned char>(c);
         hash *= 1099511628211ull;
     }
@@ -754,9 +755,15 @@ gridFingerprint(const std::string &grid_json)
 }
 
 std::string
+gridFingerprint(const std::string &grid_json)
+{
+    return fnvFingerprint(grid_json);
+}
+
+std::string
 specFingerprint(const ExperimentSpec &spec)
 {
-    return gridFingerprint(json::write(specToJson(spec)));
+    return fnvFingerprint(json::write(specToJson(spec)));
 }
 
 } // namespace unison

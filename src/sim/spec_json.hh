@@ -13,8 +13,8 @@
  *                       keyZipfAlpha, recordBlocks, requestBlocksMean,
  *                       numTables, lookupsPerTable], v2 is v3 minus
  *                       system.memoryBackend [defaults to "fast"], v1
- *                       is v2 minus system.engineThreads [defaults to
- *                       1]; writes float to the *lowest* version that
+ *                       is v2 minus system.engineThreads [a no-op
+ *                       key, defaults to 1]; writes float to the *lowest* version that
  *                       expresses the spec -- a spec with <= 256 cores
  *                       and no datacenter scenarios still writes v3,
  *                       so documents from older studies stay
@@ -102,8 +102,8 @@ struct ResultPoint
  * `grid_hash` fingerprints the *full* grid the points came from, so a
  * merge can reject shards of different runs of a same-named grid.
  * Every document also stamps `codeVersion` (kSimCodeVersion) -- the
- * build that produced the numbers -- so merges and journal resumes can
- * refuse to mix results across behaviour-changing builds.
+ * build that produced the numbers -- so merges can refuse to mix
+ * results across behaviour-changing builds.
  * Points are written sorted by index, which is what makes a merge of
  * shard files byte-identical to an unsharded run.
  */
@@ -120,9 +120,13 @@ std::vector<ResultPoint> resultsFromJson(const json::Value &value,
                                              nullptr);
 /**@}*/
 
-/** FNV-1a fingerprint (16 hex chars) of a serialized grid document;
- *  identical grids => identical fingerprints, so shard result files
- *  can prove they came from the same grid before merging. */
+/** FNV-1a 64-bit fingerprint of any text as 16 hex chars (also
+ *  names checkpoint files and store code-version tags). */
+std::string fnvFingerprint(const std::string &text);
+
+/** FNV-1a fingerprint of a serialized grid document; identical grids
+ *  => identical fingerprints, so shard result files can prove they
+ *  came from the same grid before merging. */
 std::string gridFingerprint(const std::string &grid_json);
 
 /** Content address of one experiment spec: the fingerprint of its

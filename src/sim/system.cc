@@ -1,10 +1,8 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <limits>
-#include <thread>
 
 #include "common/logging.hh"
 #include "common/state_io.hh"
@@ -24,240 +22,6 @@
 #include "trace/workload.hh"
 
 namespace unison {
-
-namespace {
-
-/**
- * The serial engine's front end: generate the next reference and probe
- * the SRAM hierarchy inline, exactly the pre-existing timing loop.
- * (A front end provides next/access/resetWindow/l1Totals; runLoopBody
- * monomorphizes on it, so this wrapper costs nothing.)
- */
-template <typename Source>
-struct SerialEngineFrontEnd
-{
-    Source &source;
-    CacheHierarchy *hier;
-    int numCores;
-
-    bool
-    next(int core, MemoryAccess &acc)
-    {
-        return source.next(core, acc);
-    }
-
-    HierarchyOutcome
-    access(int core, const MemoryAccess &acc)
-    {
-        return hier->access(core, acc.addr, acc.isWrite);
-    }
-
-    void resetWindow() {}
-
-    void
-    l1Totals(std::uint64_t &accesses, std::uint64_t &misses) const
-    {
-        accesses = 0;
-        misses = 0;
-        for (int c = 0; c < numCores; ++c) {
-            accesses += hier->l1(c).stats().accesses.value();
-            misses += hier->l1(c).stats().misses.value();
-        }
-    }
-};
-
-/** One producer-to-commit handoff record of the epoch-sharded engine:
- *  a reference plus its (stats-free) private-L1 outcome. */
-struct EngineRecord
-{
-    MemoryAccess acc;
-    SramAccessResult l1res;
-    bool end = false; //!< the core's stream drained (acc/l1res unset)
-};
-
-/**
- * Single-producer single-consumer ring of EngineRecords for one core.
- * head/tail are free-running counters over a power-of-two slot array;
- * the producer publishes in epoch-sized chunks (one release store per
- * epoch, not per record), the commit thread consumes one at a time.
- */
-struct EngineRing
-{
-    static constexpr std::uint64_t kCapacity = 4096;
-    static constexpr std::uint64_t kMask = kCapacity - 1;
-
-    std::vector<EngineRecord> slots =
-        std::vector<EngineRecord>(kCapacity);
-
-    /** Producer side (own cache line: no false sharing with commit). */
-    alignas(64) std::atomic<std::uint64_t> head{0}; //!< published
-    std::uint64_t produced = 0; //!< includes not-yet-published slots
-    std::uint64_t tailCache = 0;
-
-    /** Commit side. */
-    alignas(64) std::atomic<std::uint64_t> tail{0}; //!< consumed
-    std::uint64_t consumed = 0;
-    std::uint64_t headCache = 0;
-};
-
-/**
- * The epoch-sharded engine front end. Producer threads own disjoint
- * core shards and run everything that is a pure function of one
- * core's stream -- reference generation and the private L1 -- ahead of
- * the commit thread, which pops records in exactly the order the
- * serial scheduler would have processed them and replays the shared
- * levels (L2, DRAM cache, off-chip) through finishAccess. Every
- * decision the shared state sees is therefore made in serial order,
- * which is the whole bit-identity argument; the producers' relative
- * progress only changes *when* records were precomputed, never their
- * content (per-core-deterministic sources) nor their commit order.
- */
-template <typename Source>
-class ThreadedEngine
-{
-  public:
-    /** References per publication chunk (the epoch). */
-    static constexpr std::uint64_t kEpoch = 1024;
-
-    ThreadedEngine(Source &source, CacheHierarchy *hier, int src_cores,
-                   int num_threads)
-        : source_(source),
-          hier_(hier),
-          srcCores_(src_cores),
-          rings_(std::make_unique<EngineRing[]>(
-              static_cast<std::size_t>(src_cores)))
-    {
-        const int workers = std::min(num_threads, src_cores);
-        threads_.reserve(static_cast<std::size_t>(workers));
-        for (int t = 0; t < workers; ++t)
-            threads_.emplace_back(
-                [this, t, workers] { producerLoop(t, workers); });
-    }
-
-    ~ThreadedEngine()
-    {
-        stop_.store(true, std::memory_order_release);
-        for (std::thread &t : threads_)
-            t.join();
-    }
-
-    bool
-    next(int core, MemoryAccess &acc)
-    {
-        EngineRing &ring = rings_[core];
-        const std::uint64_t at = ring.consumed;
-        while (at == ring.headCache) {
-            ring.headCache = ring.head.load(std::memory_order_acquire);
-            if (at == ring.headCache)
-                std::this_thread::yield();
-        }
-        const EngineRecord &rec = ring.slots[at & EngineRing::kMask];
-        if (rec.end)
-            return false; // the EOF slot is never consumed: sticky
-        acc = rec.acc;
-        pending_ = rec.l1res;
-        ring.consumed = at + 1;
-        ring.tail.store(at + 1, std::memory_order_release);
-        return true;
-    }
-
-    HierarchyOutcome
-    access(int, const MemoryAccess &acc)
-    {
-        // Producers probe the L1s stats-free (accessQuiet); the L1
-        // totals the serial engine reads from the L1 stats structs are
-        // counted here instead, one access per reference.
-        ++l1Accesses_;
-        if (!pending_.hit)
-            ++l1Misses_;
-        return hier_->finishAccess(pending_, acc.addr, acc.isWrite);
-    }
-
-    void
-    resetWindow()
-    {
-        l1Accesses_ = 0;
-        l1Misses_ = 0;
-    }
-
-    void
-    l1Totals(std::uint64_t &accesses, std::uint64_t &misses) const
-    {
-        accesses = l1Accesses_;
-        misses = l1Misses_;
-    }
-
-  private:
-    void
-    producerLoop(int t, int workers)
-    {
-        // Round-robin shard: worker t owns cores t, t+workers, ...
-        std::vector<int> mine;
-        for (int c = t; c < srcCores_; c += workers)
-            mine.push_back(c);
-        std::vector<bool> done(mine.size(), false);
-        std::size_t remaining = mine.size();
-
-        while (remaining > 0 &&
-               !stop_.load(std::memory_order_acquire)) {
-            bool progressed = false;
-            for (std::size_t k = 0; k < mine.size(); ++k) {
-                if (done[k])
-                    continue;
-                const int core = mine[k];
-                EngineRing &ring = rings_[core];
-                SetAssocCache &l1 = hier_->l1Front(core);
-
-                ring.tailCache =
-                    ring.tail.load(std::memory_order_acquire);
-                const std::uint64_t room = ring.tailCache +
-                                           EngineRing::kCapacity -
-                                           ring.produced;
-                const std::uint64_t n = std::min(room, kEpoch);
-                if (n == 0)
-                    continue; // ring full; serve the other cores
-                std::uint64_t filled = 0;
-                for (; filled < n; ++filled) {
-                    EngineRecord &rec =
-                        ring.slots[(ring.produced + filled) &
-                                   EngineRing::kMask];
-                    if (!source_.next(core, rec.acc)) {
-                        rec.end = true;
-                        ++filled;
-                        done[k] = true;
-                        --remaining;
-                        break;
-                    }
-                    rec.end = false;
-                    rec.l1res =
-                        l1.accessQuiet(rec.acc.addr, rec.acc.isWrite);
-                }
-                if (filled != 0) {
-                    ring.produced += filled;
-                    ring.head.store(ring.produced,
-                                    std::memory_order_release);
-                    progressed = true;
-                }
-            }
-            if (!progressed)
-                std::this_thread::yield();
-        }
-    }
-
-    Source &source_;
-    CacheHierarchy *hier_;
-    int srcCores_;
-    std::unique_ptr<EngineRing[]> rings_;
-    std::vector<std::thread> threads_;
-    std::atomic<bool> stop_{false};
-
-    /** L1 outcome of the record the commit thread just popped. */
-    SramAccessResult pending_{};
-    std::uint64_t l1Accesses_ = 0;
-    std::uint64_t l1Misses_ = 0;
-};
-
-} // namespace
 
 namespace {
 
@@ -285,8 +49,6 @@ System::System(const SystemConfig &config, const CacheFactory &factory)
     UNISON_ASSERT(config_.warmFraction >= 0.0 &&
                       config_.warmFraction <= 1.0,
                   "warmFraction outside [0, 1]");
-    UNISON_ASSERT(config_.engineThreads >= 1,
-                  "engineThreads must be at least 1");
     cache_ = factory(offchip_.get());
     UNISON_ASSERT(cache_ != nullptr, "cache factory returned null");
 }
@@ -398,33 +160,6 @@ SimResult
 System::runLoop(Source &source, Cache &cache,
                 std::uint64_t total_accesses)
 {
-    // Engine selection. The epoch-sharded engine needs (a) more than
-    // one engine thread requested, (b) more than one core to shard,
-    // (c) no checkpoint hooks (the serialized L1/source state must be
-    // taken at an exact access boundary, which the run-ahead producers
-    // have already crossed), and (d) a source whose per-core streams
-    // are deterministic in isolation -- the content of core c's next
-    // reference must not depend on how far the other cores have
-    // advanced. Anything else silently uses the serial engine; both
-    // produce bit-identical SimResults.
-    if (config_.engineThreads > 1 && source.numCores() > 1 &&
-        resumeFrom_ == nullptr && captureTo_ == nullptr &&
-        source.perCoreDeterministic()) {
-        ThreadedEngine<Source> fe(source, hierarchy_.get(),
-                                  source.numCores(),
-                                  config_.engineThreads);
-        return runLoopBody(fe, source, cache, total_accesses);
-    }
-    SerialEngineFrontEnd<Source> fe{source, hierarchy_.get(),
-                                    config_.numCores};
-    return runLoopBody(fe, source, cache, total_accesses);
-}
-
-template <typename FrontEnd, typename Source, typename Cache>
-SimResult
-System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
-                    std::uint64_t total_accesses)
-{
     UNISON_ASSERT(total_accesses > 0, "empty simulation");
     UNISON_ASSERT(source.numCores() <= config_.numCores,
                   "trace has more cores than the system");
@@ -486,7 +221,6 @@ System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
 
     const auto reset_measurement = [&]() {
         resetAllStats();
-        fe.resetWindow();
         warm_base = core_time;
         per_core.reset();
         dc_latency_sum = 0.0;
@@ -569,6 +303,7 @@ System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
         first_access = warm_count;
     }
 
+    CacheHierarchy &hier = *hierarchy_;
     MemoryAccess acc;
     for (std::uint64_t i = first_access;
          i < total_accesses && active_cores > 0; ++i) {
@@ -620,7 +355,7 @@ System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
             static_cast<int>((b2 < b0 ? b2 : b0) & id_mask);
 
         double &now = core_time[core];
-        if (!fe.next(core, acc)) {
+        if (!source.next(core, acc)) {
             // Finite sources (trace files) may drain one core's stream
             // slightly before the requested total: stop measuring.
             if (i == 0)
@@ -629,7 +364,8 @@ System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
         }
         now += acc.instrsBefore * config_.cpiBase;
 
-        const HierarchyOutcome outcome = fe.access(core, acc);
+        const HierarchyOutcome outcome =
+            hier.access(core, acc.addr, acc.isWrite);
 
         double load_latency = outcome.sramLatency;
 
@@ -740,15 +476,16 @@ System::runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
         out.amatCycles = cw.amatCycles();
     }
 
-    // SRAM hierarchy miss rates (the front end aggregates L1 over
-    // cores -- from the per-L1 stats structs in the serial engine,
-    // from commit-side counters in the threaded one).
+    // SRAM hierarchy miss rates (L1 aggregated over cores).
     std::uint64_t l1_acc = 0, l1_miss = 0;
-    fe.l1Totals(l1_acc, l1_miss);
+    for (int c = 0; c < config_.numCores; ++c) {
+        l1_acc += hier.l1(c).stats().accesses.value();
+        l1_miss += hier.l1(c).stats().misses.value();
+    }
     result.l1MissPercent = percent(l1_miss, l1_acc);
     result.l2MissPercent =
-        percent(hierarchy_->l2().stats().misses.value(),
-                hierarchy_->l2().stats().accesses.value());
+        percent(hier.l2().stats().misses.value(),
+                hier.l2().stats().accesses.value());
 
     result.cache = cache_->stats();
     result.offchip = offchip_->stats();

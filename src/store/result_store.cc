@@ -10,7 +10,6 @@
 #include "common/crc_frame.hh"
 #include "common/file_io.hh"
 #include "common/json.hh"
-#include "sim/journal.hh"
 
 namespace unison {
 
@@ -154,6 +153,15 @@ ResultStore::insertFp(const std::string &spec_fp,
         structuredWarn("store-save-failed",
                        {{"path", path},
                         {"reason", "cannot publish temp object"}});
+        return;
+    }
+    // The rename is durable only once the directory entry is: until
+    // then a power loss can leave the object unpublished. An insert
+    // counts (and the runner reports the point done) only after this.
+    const SimStatus synced = syncDirectory(dir_ + "/objects");
+    if (!synced.ok()) {
+        structuredWarn("store-save-failed",
+                       {{"path", path}, {"reason", synced.message}});
         return;
     }
     ++inserts_;

@@ -3,10 +3,11 @@
  * Content-addressed result store: completed SimResults keyed by what
  * they ARE -- (spec fingerprint, code version) -- instead of which run
  * produced them. Any invocation that is about to simulate a spec asks
- * the store first; a hit substitutes the cached result byte-for-byte
- * (the same substitution contract the journal's crash replay pins),
+ * the store first; a hit substitutes the cached result byte-for-byte,
  * and every fresh completion is published back, so repeated sweeps of
- * overlapping grids converge to zero simulation.
+ * overlapping grids converge to zero simulation. The same mechanism is
+ * the crash-resume path: a killed sweep rerun over the same store
+ * re-simulates only the points that never landed.
  *
  * # Layout
  *
@@ -28,16 +29,19 @@
  *
  * # Trust model
  *
- * Objects are published atomically (write to a dot-prefixed temp name
- * in the same directory, then rename), so readers never see a partial
- * object. On lookup every layer is verified before the result is
- * trusted: frame CRC, payload schema, embedded code version, and the
- * fingerprint *recomputed from the embedded spec* (guards misplaced or
- * hash-colliding files, not just bit rot). Any doubt is a structured
- * "store-rejected" warning and a miss -- the caller simulates, which
- * is always correct. Publishing is likewise best-effort: a failed
- * insert warns ("store-save-failed") and drops; the store is an
- * optimization, never a durability or correctness dependency.
+ * Objects are published atomically (write and fsync a dot-prefixed
+ * temp name in the same directory, rename, then fsync the directory),
+ * so readers never see a partial object and a counted insert survives
+ * a crash or power loss. On lookup every layer is verified before the
+ * result is trusted: frame CRC, payload schema, embedded code version,
+ * and the fingerprint *recomputed from the embedded spec* (guards
+ * misplaced or hash-colliding files, not just bit rot). Any doubt is
+ * a structured "store-rejected" warning and a miss -- the caller
+ * simulates, which is always correct. Publishing is best-effort: a
+ * failed insert warns ("store-save-failed") and is not counted; the
+ * point is simply simulated again by the next run. A kill mid-publish
+ * can leave a dot-prefixed temp file behind, which lookup and gc
+ * ignore.
  *
  * # Eviction
  *
@@ -146,7 +150,7 @@ class ResultStore
  * evict an object between its replay-pass hit and the end of the run.
  * `specs` must outlive the hook.
  */
-class StoreCacheHook : public ResultJournalHook
+class StoreCacheHook : public ResultCacheHook
 {
   public:
     StoreCacheHook(ResultStore &store,

@@ -195,7 +195,6 @@ MixedWorkload::MixedWorkload(const std::vector<MixPart> &parts,
 
         TraceReader *reader = nullptr;
         if (!part.tracePath.empty()) {
-            noTraceParts_ = false;
             auto owned = std::make_unique<TraceReader>(part.tracePath);
             reader = owned.get();
             if (reader->numCores() < part.cores)

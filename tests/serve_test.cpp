@@ -13,12 +13,15 @@
  *    wait and receive the identical result (the acceptance criterion
  *    of the serving subsystem);
  *  - a submission with an invalid point fails as SimError(Usage)
- *    without poisoning the in-flight table.
+ *    without poisoning the in-flight table;
+ *  - a long serve session holds threads for live connections only:
+ *    finished client threads are joined on the next accept.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -28,7 +31,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "serve/client.hh"
 #include "serve/protocol.hh"
+#include "serve/server.hh"
 #include "serve/sweep_service.hh"
 
 namespace unison {
@@ -255,6 +260,40 @@ TEST(SweepService, InvalidPointFailsCleanly)
         makeGrid("ok", {tinySpec(DesignKind::Alloy, 99)});
     const SubmitStats stats = service.run(ok, nullptr);
     EXPECT_EQ(stats.simulated, 1u);
+}
+
+// ------------------------------------------------------------ server
+
+TEST(Server, FinishedClientThreadsAreReaped)
+{
+    const std::string dir = tempDir("reap");
+    ::mkdir(dir.c_str(), 0777);
+    serve::ServeOptions options;
+    options.listenPath = dir + "/s.sock";
+    options.storeDir = dir + "/store";
+    options.threads = 1;
+    serve::Server server(options);
+    int rc = -1;
+    std::thread serving([&] { rc = server.run(); });
+
+    // Wait for the listener, then open and close 64 connections one
+    // after another. Without reaping, every one would leave its
+    // thread behind until shutdown.
+    SimStatus ready = SimStatus::failure(SimErrc::Io, "not yet");
+    for (int attempt = 0; attempt < 500 && !ready.ok(); ++attempt) {
+        ready = serve::pingServer(options.listenPath);
+        if (!ready.ok())
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_TRUE(ready.ok()) << ready.message;
+    for (int i = 0; i < 64; ++i)
+        ASSERT_TRUE(serve::pingServer(options.listenPath).ok()) << i;
+    EXPECT_LE(server.clientThreads(), 4u);
+
+    serve::shutdownServer(options.listenPath);
+    serving.join();
+    EXPECT_EQ(rc, 0);
+    EXPECT_EQ(server.clientThreads(), 0u);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include "sim/figures.hh"
 #include "sim/spec_json.hh"
+#include "trace/mix.hh"
 
 namespace unison {
 namespace {
@@ -228,6 +229,23 @@ TEST(SpecJson, OlderSchemasStillParseAndReEmitAsV3)
     EXPECT_EQ(from_v1.system.engineThreads, 1);
     EXPECT_EQ(from_v1.system.memoryBackend, MemoryBackendKind::Fast);
     EXPECT_EQ(roundTripOnce(from_v1), v3);
+
+    // engineThreads is accepted and ignored: any value in range
+    // parses, re-emits byte-identically, and runs exactly like 1.
+    ExperimentSpec small;
+    small.capacityBytes = 32_MiB;
+    small.system.numCores = 4;
+    small.accesses = 30'000;
+    small.mix = {mixPreset(Workload::WebServing, 2),
+                 mixPreset(Workload::DataServing, 2)};
+    const std::string one = roundTripOnce(small);
+    const std::string four = mutateDocument(
+        one, "\"engineThreads\": 1", "\"engineThreads\": 4");
+    const ExperimentSpec from_four = specFromJson(json::parse(four));
+    EXPECT_EQ(from_four.system.engineThreads, 4);
+    EXPECT_EQ(roundTripOnce(from_four), four);
+    EXPECT_EQ(json::write(resultToJson(runExperiment(from_four))),
+              json::write(resultToJson(runExperiment(small))));
 }
 
 TEST(SpecJson, NewerKeyInOlderSchemaIsRejected)

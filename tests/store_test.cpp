@@ -13,6 +13,16 @@
  *  - a corrupted object (injected via the FaultInjector read seam and
  *    via direct byte damage) is rejected with a structured warning
  *    and degrades to a miss -- never a half-trusted result;
+ *  - an object truncated at EVERY byte offset, or with one byte
+ *    flipped in each frame field class, is rejected (classified in
+ *    the warning) and the runner re-simulates the point
+ *    byte-identically and republishes a clean object;
+ *  - a sweep rerun over the store of a killed run (some objects
+ *    published, a torn temp file left behind) replays what landed and
+ *    is byte-identical to the uninterrupted run, across designs and
+ *    both memory backends;
+ *  - an insert counts only once its directory entry is fsynced: a
+ *    failed directory sync warns and is not counted;
  *  - gc() respects the byte budget, evicts oldest-first, and never
  *    evicts pinned (in-flight) objects, which is what makes a
  *    concurrent `store gc` safe under an active sweep.
@@ -231,6 +241,187 @@ TEST(ResultStore, MisplacedObjectIsRejectedByEmbeddedSpec)
     EXPECT_TRUE(store.lookup(a, out)); // the original is untouched
 }
 
+/** One spec through runExperiments over `store`: whether the store
+ *  served it, and the result. */
+SimResult
+runThroughStore(ResultStore &store, const ExperimentSpec &spec,
+                bool &served)
+{
+    const std::vector<ExperimentSpec> specs{spec};
+    StoreCacheHook hook(store, specs);
+    RunHooks hooks;
+    hooks.cache = &hook;
+    const SimResult result = runExperiments(specs, 1, nullptr, hooks)[0];
+    served = hook.wasHit(0);
+    return result;
+}
+
+TEST(ResultStore, SurvivesTruncationAtEveryByte)
+{
+    ResultStore store(tempDir("truncate"));
+    ExperimentSpec spec = tinySpec(DesignKind::Alloy);
+    spec.system.numCores = 1;
+    spec.accesses = 2'000;
+    const SimResult fresh = runExperiment(spec);
+    store.insert(spec, fresh);
+    const std::string path = store.objectPath(specFingerprint(spec));
+    std::vector<std::uint8_t> full;
+    ASSERT_TRUE(readFileBytes(path, full).ok());
+    ASSERT_GT(full.size(), 100u);
+
+    // The torn-object-after-a-crash matrix: every proper prefix of
+    // the object. Each one is rejected; the runner then re-simulates
+    // the point, matches the fresh result, and republishes the whole
+    // object in place of the torn one.
+    testing::internal::CaptureStderr();
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        ASSERT_TRUE(writeFileBytes(
+                        path, {full.begin(), full.begin() + cut})
+                        .ok());
+        bool served = true;
+        const SimResult result = runThroughStore(store, spec, served);
+        EXPECT_FALSE(served);
+        EXPECT_EQ(resultKey(result), resultKey(fresh));
+        std::vector<std::uint8_t> healed;
+        ASSERT_TRUE(readFileBytes(path, healed).ok());
+        EXPECT_EQ(healed, full);
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("[store-rejected]"), std::string::npos);
+    EXPECT_EQ(store.hits(), 0u);
+    EXPECT_EQ(store.inserts(), 1 + full.size());
+
+    // The untouched object serves.
+    bool served = false;
+    runThroughStore(store, spec, served);
+    EXPECT_TRUE(served);
+}
+
+TEST(ResultStore, ClassifiesOneByteCorruptionInEveryFieldClass)
+{
+    ResultStore store(tempDir("flip"));
+    const ExperimentSpec spec = tinySpec(DesignKind::Unison);
+    const SimResult fresh = runExperiment(spec);
+    store.insert(spec, fresh);
+    const std::string path = store.objectPath(specFingerprint(spec));
+    std::vector<std::uint8_t> good;
+    ASSERT_TRUE(readFileBytes(path, good).ok());
+    ASSERT_GT(good.size(), 100u);
+
+    struct Case
+    {
+        const char *field;
+        std::size_t offset; //!< byte flipped (SIZE_MAX: append one)
+        const char *reason; //!< expected in the warning
+    };
+    // Record frame: u32 magic, u32 payload length, u32 CRC, payload.
+    const std::vector<Case> cases = {
+        {"magic", 0, "bad record magic"},
+        {"length (high byte)", 7, "implausible record length"},
+        {"crc", 8, "record CRC mismatch"},
+        {"payload head", 12, "record CRC mismatch"},
+        {"payload middle", good.size() / 2, "record CRC mismatch"},
+        {"payload last byte", good.size() - 1, "record CRC mismatch"},
+        {"trailing byte", SIZE_MAX, "trailing bytes"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        std::vector<std::uint8_t> damaged = good;
+        if (c.offset == SIZE_MAX)
+            damaged.push_back(0x55);
+        else
+            damaged[c.offset] ^= 0xff;
+        ASSERT_TRUE(writeFileBytes(path, damaged).ok());
+
+        testing::internal::CaptureStderr();
+        SimResult out;
+        const bool hit = store.lookup(spec, out);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(hit);
+        EXPECT_NE(err.find("[store-rejected]"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find(c.reason), std::string::npos) << err;
+
+        // The runner re-simulates and republishes a clean object.
+        testing::internal::CaptureStderr();
+        bool served = true;
+        const SimResult result = runThroughStore(store, spec, served);
+        testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(served);
+        EXPECT_EQ(resultKey(result), resultKey(fresh));
+        std::vector<std::uint8_t> healed;
+        ASSERT_TRUE(readFileBytes(path, healed).ok());
+        EXPECT_EQ(healed, good);
+    }
+}
+
+// ------------------------------------------------- resume identity
+
+TEST(ResultStore, ResumeIsByteIdenticalAcrossDesignsAndBackends)
+{
+    for (const MemoryBackendKind backend :
+         {MemoryBackendKind::Fast, MemoryBackendKind::Detailed}) {
+        SCOPED_TRACE(backend == MemoryBackendKind::Fast ? "fast"
+                                                        : "detailed");
+        std::vector<ExperimentSpec> specs;
+        std::uint64_t seed = 20;
+        for (const DesignKind design :
+             {DesignKind::Unison, DesignKind::Alloy,
+              DesignKind::Footprint, DesignKind::NoDramCache})
+            specs.push_back(tinySpec(design, seed++, backend));
+
+        const std::vector<SimResult> uninterrupted =
+            runExperiments(specs, 2);
+
+        // "Crash" after two points: their objects are published, the
+        // third died mid-publish and left half a temp file behind.
+        const std::string name =
+            backend == MemoryBackendKind::Fast ? "fast" : "detailed";
+        ResultStore store(tempDir("resume_" + name));
+        store.insert(specs[0], uninterrupted[0]);
+        store.insert(specs[1], uninterrupted[1]);
+        ResultStore scratch(tempDir("resume_scratch_" + name));
+        scratch.insert(specs[2], uninterrupted[2]);
+        std::vector<std::uint8_t> third;
+        ASSERT_TRUE(
+            readFileBytes(scratch.objectPath(specFingerprint(specs[2])),
+                          third)
+                .ok());
+        third.resize(third.size() / 2);
+        ASSERT_TRUE(
+            writeFileBytes(store.dir() + "/objects/.tmp.1.0", third)
+                .ok());
+
+        // Rerun: two points replayed, two re-simulated; the merged
+        // result set matches the uninterrupted run byte-for-byte.
+        std::vector<SimResult> resumed;
+        {
+            StoreCacheHook hook(store, specs);
+            RunHooks hooks;
+            hooks.cache = &hook;
+            resumed = runExperiments(specs, 2, nullptr, hooks);
+            EXPECT_EQ(hook.hits(), 2u);
+        }
+        ASSERT_EQ(resumed.size(), uninterrupted.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(resultKey(resumed[i]),
+                      resultKey(uninterrupted[i]))
+                << "point " << i;
+
+        // And a rerun of the completed sweep replays everything.
+        StoreCacheHook complete(store, specs);
+        RunHooks replay_hooks;
+        replay_hooks.cache = &complete;
+        const std::vector<SimResult> replayed =
+            runExperiments(specs, 1, nullptr, replay_hooks);
+        EXPECT_EQ(complete.hits(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(resultKey(replayed[i]),
+                      resultKey(uninterrupted[i]));
+    }
+}
+
 // ------------------------------------------------------------- gc
 
 TEST(ResultStore, GcRespectsBudgetAndPins)
@@ -332,6 +523,36 @@ TEST(ResultStore, FailedInsertDegradesToAWarning)
 
     store.insert(spec, fresh); // and the path recovers
     EXPECT_TRUE(store.lookup(spec, out));
+}
+
+TEST(ResultStore, UnsyncedDirectoryIsNotCountedAsInserted)
+{
+    ResultStore store(tempDir("failsync"));
+    const ExperimentSpec spec = tinySpec(DesignKind::Alloy);
+    const SimResult fresh = runExperiment(spec);
+
+    // The rename lands, but the directory fsync that makes it durable
+    // fails: the insert must warn and not count.
+    FaultPlan plan;
+    plan.point = FaultPlan::Point::Sync;
+    plan.mode = FaultPlan::Mode::Fail;
+    plan.pathSubstr = "failsync/objects";
+    plan.offset = 0;
+    FaultInjector::instance().arm(plan);
+    testing::internal::CaptureStderr();
+    store.insert(spec, fresh); // must not throw or exit
+    const std::string err = testing::internal::GetCapturedStderr();
+    FaultInjector::instance().disarm();
+
+    EXPECT_NE(err.find("[store-save-failed]"), std::string::npos) << err;
+    EXPECT_NE(err.find("fsync of directory"), std::string::npos) << err;
+    EXPECT_EQ(store.inserts(), 0u);
+
+    store.insert(spec, fresh); // and the path recovers
+    EXPECT_EQ(store.inserts(), 1u);
+    SimResult out;
+    EXPECT_TRUE(store.lookup(spec, out));
+    EXPECT_EQ(resultKey(out), resultKey(fresh));
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 #include "sim/system.hh"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 
 #include "common/logging.hh"
@@ -16,6 +15,7 @@
 #include "core/alloy_fp.hh"
 #include "core/unison_cache.hh"
 #include "core/unison_wp.hh"
+#include "sim/core_scheduler.hh"
 #include "trace/mix.hh"
 #include "trace/scenarios.hh"
 #include "trace/tracefile.hh"
@@ -169,7 +169,7 @@ System::runLoop(Source &source, Cache &cache,
     std::vector<double> core_time(config_.numCores, 0.0);
     // The scheduler's view of the clocks: mirrors core_time, except a
     // core that exhausted its access budget parks at +inf so the
-    // min-reduction below never selects it again.
+    // scheduler below never selects it again.
     std::vector<double> sched_time(config_.numCores, 0.0);
 
     // Per-core ring of in-flight DRAM-level load completions: issuing
@@ -229,40 +229,9 @@ System::runLoop(Source &source, Cache &cache,
         miss_latency_samples = 0;
     };
 
-    // Min-time scheduling: always advance the core whose clock is
-    // furthest behind, so DRAM requests arrive in near-global time
-    // order and queueing behaves realistically. Non-negative IEEE
-    // doubles order identically to their bit patterns, so each clock
-    // becomes an integer key with the core id packed into the low
-    // (mantissa) bits: the min key yields both the laggard and, on
-    // (quantized) ties, the lowest id. The id field is 8 bits up to
-    // 256 cores -- which keeps every historical (<= 256-core) run's
-    // tie quantization, and therefore its output, byte-identical --
-    // and widens to the next power of two beyond that (kMaxCores =
-    // 1024 uses 10 of the 52 mantissa bits; the coarser tie
-    // quantization is still ~2^-42 relative). Keys live in a
-    // persistent array -- only the advanced core's clock changes per
-    // iteration, so one key is recomputed per access and the
-    // selection is a branchless min-reduction (four independent cmov
-    // chains) over ready-made keys. (Two cleverer schedulers were
-    // tried and measured slower here: a log-depth tournament tree
-    // serializes on store-to-load forwarding, and a cached-runner-up
-    // scheme pessimizes the whole loop with its rescan branch.)
-    const std::uint64_t id_mask =
-        src_cores <= 256
-            ? 255ull
-            : std::bit_ceil(static_cast<std::uint64_t>(src_cores)) - 1;
-    const auto key_of = [clocks, id_mask](int c) {
-        return (std::bit_cast<std::uint64_t>(clocks[c]) & ~id_mask) |
-               static_cast<std::uint64_t>(c);
-    };
-    // Pad to at least four entries with the maximum key, which can
-    // never win the min against a real clock key (real keys carry a
-    // finite or +inf clock pattern, never all-ones).
-    std::vector<std::uint64_t> keys(
-        static_cast<std::size_t>(std::max(src_cores, 4)), ~0ull);
-    for (int c = 0; c < src_cores; ++c)
-        keys[c] = key_of(c);
+    // Min-time scheduling (sim/core_scheduler.hh): the laggard core
+    // goes next, the lowest id on ties.
+    CoreScheduler sched(clocks, src_cores);
 
     // Warm-checkpoint resume: deserialize the exact state a cold run
     // has when i reaches warm_count (the snapshot below is taken at
@@ -297,9 +266,9 @@ System::runLoop(Source &source, Cache &cache,
         // cold (runExperimentCk catches this).
         in.throwIfFailed();
         // podVectorExact filled the vectors in place, so the `clocks`
-        // alias above is still valid; only the keys need refreshing.
-        for (int c = 0; c < src_cores; ++c)
-            keys[c] = key_of(c);
+        // alias above is still valid; only the scheduler's keys, which
+        // are derived from the clocks, need rebuilding.
+        sched.rebuild();
         first_access = warm_count;
     }
 
@@ -331,28 +300,7 @@ System::runLoop(Source &source, Cache &cache,
             measuring = true;
         }
 
-        std::uint64_t b0 = keys[0];
-        std::uint64_t b1 = keys[1];
-        std::uint64_t b2 = keys[2];
-        std::uint64_t b3 = keys[3];
-        for (int c = 4; c + 3 < src_cores; c += 4) {
-            const std::uint64_t k0 = keys[c];
-            const std::uint64_t k1 = keys[c + 1];
-            const std::uint64_t k2 = keys[c + 2];
-            const std::uint64_t k3 = keys[c + 3];
-            b0 = k0 < b0 ? k0 : b0;
-            b1 = k1 < b1 ? k1 : b1;
-            b2 = k2 < b2 ? k2 : b2;
-            b3 = k3 < b3 ? k3 : b3;
-        }
-        for (int c = std::max(src_cores & ~3, 4); c < src_cores; ++c) {
-            const std::uint64_t k = keys[c];
-            b0 = k < b0 ? k : b0;
-        }
-        b0 = b1 < b0 ? b1 : b0;
-        b2 = b3 < b2 ? b3 : b2;
-        const int core =
-            static_cast<int>((b2 < b0 ? b2 : b0) & id_mask);
+        const int core = sched.pick();
 
         double &now = core_time[core];
         if (!source.next(core, acc)) {
@@ -438,8 +386,8 @@ System::runLoop(Source &source, Cache &cache,
             }
         }
 
-        // Only this core's clock moved: refresh its key alone.
-        keys[core] = key_of(core);
+        // Only this core's clock moved.
+        sched.update(core);
     }
 
     if (!measuring) {

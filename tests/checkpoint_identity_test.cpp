@@ -137,6 +137,26 @@ TEST(CheckpointIdentity, DatacenterMixAt64Cores)
     expectCheckpointIdentity(spec);
 }
 
+TEST(CheckpointIdentity, DatacenterMixAbove256Cores)
+{
+    // Past 256 cores the scheduler's id field widens to 9 bits and its
+    // keys span many groups: the resumed run must rebuild every group
+    // minimum from the restored clocks, with 300 cores also leaving
+    // the last group partly filled.
+    ExperimentSpec spec = baseSpec(DesignKind::Unison);
+    spec.system.numCores = 300;
+    spec.accesses = 120'000;
+    spec.system.warmupAccesses = 60'000;
+    MixPart kv = mixScenario(ScenarioKind::YcsbKv, 150);
+    kv.scenario->numKeys = 1ull << 16;
+    kv.scenario->footprintBytes = 1ull << 20;
+    MixPart dl = mixScenario(ScenarioKind::DlrmEmbed, 150);
+    dl.scenario->numKeys = 1ull << 12;
+    dl.scenario->footprintBytes = 1ull << 20;
+    spec.mix = {kv, dl};
+    expectCheckpointIdentity(spec);
+}
+
 TEST(CheckpointIdentity, ResumedRunMatchesLongerWindowToo)
 {
     // The point of prefix grouping: the same snapshot serves specs

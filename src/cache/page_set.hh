@@ -11,16 +11,21 @@
  *
  *  - `tagv`: packed 64-bit tag words alone, so the hot lookup --
  *    "which way of this set holds page tag T?" -- sweeps contiguous
- *    8-byte loads (a 4-way set's tags are half a host cache line);
+ *    8-byte loads (a 4-way set's tags are 32 contiguous bytes);
  *  - `hot`: the four fields every hit updates (fetched/touched/dirty
- *    masks + LRU stamp), 16 bytes, so a 4-way set's hit state is one
- *    64-byte line;
+ *    masks + LRU stamp), 16 bytes, so a 4-way set's hit state is 64
+ *    contiguous bytes;
  *  - `cold`: fields read or written only at allocation and eviction
  *    (trigger PC, predicted mask, trigger offset, stats generation).
  *
  * (A fully exploded struct-of-arrays -- one array per field -- was
  * measured slower: five separate mask arrays meant five lines dirtied
  * per hit.)
+ *
+ * The vectors are only 16-byte aligned (glibc puts large blocks 16 B
+ * past a page boundary), so a 4-way set's 64 B of hot records always
+ * straddles two 64 B host lines, and every other set's 32 B of tags
+ * does too.
  */
 
 #ifndef UNISON_CACHE_PAGE_SET_HH
@@ -35,7 +40,8 @@
 
 namespace unison {
 
-/** Per-way fields every hit touches (one 64 B line per 4-way set). */
+/** Per-way fields every hit touches (64 contiguous bytes per 4-way
+ *  set). */
 struct PageWayHot
 {
     std::uint32_t fetched = 0;   //!< valid blocks

@@ -66,7 +66,8 @@ struct SramAccessResult
  *
  * The per-way metadata is struct-of-arrays: one contiguous array of
  * packed tag words (valid/dirty in the top bits, tag in the low bits;
- * an 8-way set's tags span exactly one 64 B host cache line) and a
+ * an 8-way set's tags are 64 contiguous bytes, which straddle two host
+ * lines because the vector is only 16-byte aligned) and a
  * parallel array of LRU stamps, both indexed `set * assoc + way`.
  * These are the simulator's hottest arrays by far, and the tag scan is
  * a branch-reduced compare over the packed words (see set_scan.hh),

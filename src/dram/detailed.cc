@@ -1,6 +1,7 @@
 #include "dram/detailed.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -11,12 +12,9 @@ namespace {
 int
 occupancyBucket(int size)
 {
-    int bucket = 0;
-    while (size > 0 && bucket < MemoryQueueStats::kOccupancyBuckets - 1) {
-        ++bucket;
-        size >>= 1;
-    }
-    return bucket;
+    return std::min(
+        static_cast<int>(std::bit_width(static_cast<unsigned>(size))),
+        MemoryQueueStats::kOccupancyBuckets - 1);
 }
 
 } // namespace
@@ -132,11 +130,19 @@ DetailedChannel::performCommand(int bank_idx, std::uint64_t row,
 }
 
 void
-DetailedChannel::removeQueued(int idx)
+DetailedChannel::retire(int idx, Cycle now)
 {
+    const WriteEntry entry = wq_[idx];
+    // The last slot leaves the queue (its entry shifts down or is the
+    // one retired): freeze its bypass count, as the image records it.
+    const std::uint32_t last_bypasses = bypassesOf(wqSize_ - 1);
     for (int i = idx; i + 1 < wqSize_; ++i)
         wq_[i] = wq_[i + 1];
     --wqSize_;
+    wq_[wqSize_].bypasses = last_bypasses;
+    performCommand(static_cast<int>(entry.bank), entry.row, entry.bytes,
+                   true, now);
+    ++qstats_.drainedWrites;
 }
 
 void
@@ -155,38 +161,7 @@ DetailedChannel::drainOne(Cycle now)
     }
     if (pick != 0)
         ++qstats_.frfcfsReorders;
-    const WriteEntry entry = wq_[pick];
-    removeQueued(pick);
-    performCommand(static_cast<int>(entry.bank), entry.row, entry.bytes,
-                   true, now);
-    ++qstats_.drainedWrites;
-}
-
-void
-DetailedChannel::drainStarved(Cycle now)
-{
-    for (int i = 0; i < wqSize_; ++i) {
-        if (wq_[i].bypasses < static_cast<std::uint32_t>(kStarvationCap))
-            continue;
-        if (i != 0)
-            ++qstats_.frfcfsReorders;
-        const WriteEntry entry = wq_[i];
-        removeQueued(i);
-        performCommand(static_cast<int>(entry.bank), entry.row,
-                       entry.bytes, true, now);
-        ++qstats_.drainedWrites;
-        return;
-    }
-    panic("drainStarved with no starved entry queued");
-}
-
-std::uint32_t
-DetailedChannel::maxQueuedBypasses() const
-{
-    std::uint32_t max_bypasses = 0;
-    for (int i = 0; i < wqSize_; ++i)
-        max_bypasses = std::max(max_bypasses, wq_[i].bypasses);
-    return max_bypasses;
+    retire(pick, now);
 }
 
 DramAccessTiming
@@ -200,17 +175,15 @@ DetailedChannel::access(int bank_idx, std::uint64_t row,
 
     if (is_write) {
         // Posted write: accepted into the queue now, performed later.
-        // A full queue forces a single drain to make room; crossing
-        // the high watermark drains down to the low one.
-        if (wqSize_ == kWriteQueueDepth) {
-            ++qstats_.writeDrains;
-            drainOne(earliest);
-        }
+        // Crossing the high watermark drains down to the low one, so
+        // the queue is below the high mark between calls and the
+        // enqueue always has a free slot.
+        static_assert(kWriteHighWatermark <= kWriteQueueDepth);
         WriteEntry &entry = wq_[wqSize_++];
         entry.row = row;
         entry.bank = static_cast<std::uint32_t>(bank_idx);
         entry.bytes = bytes;
-        entry.bypasses = 0;
+        entry.bypasses = readsServiced_;
         ++qstats_.occupancy[occupancyBucket(wqSize_)];
         if (wqSize_ >= kWriteHighWatermark) {
             ++qstats_.writeDrains;
@@ -225,13 +198,13 @@ DetailedChannel::access(int bank_idx, std::uint64_t row,
     // Read priority: the read bypasses every queued write -- unless a
     // write has hit the starvation cap, in which case it retires
     // first. This bounds write latency without giving up read-first
-    // scheduling.
-    for (int i = 0; i < wqSize_; ++i)
-        ++wq_[i].bypasses;
-    while (maxQueuedBypasses() >=
-           static_cast<std::uint32_t>(kStarvationCap)) {
+    // scheduling. Queued writes sit in arrival order and every read
+    // bypasses all of them, so the oldest has the most bypasses.
+    ++readsServiced_;
+    while (wqSize_ > 0 &&
+           bypassesOf(0) >= static_cast<std::uint32_t>(kStarvationCap)) {
         ++qstats_.starvationDrains;
-        drainStarved(earliest);
+        retire(0, earliest);
     }
     return performCommand(bank_idx, row, bytes, false, earliest);
 }
@@ -248,7 +221,10 @@ DetailedChannel::saveState(StateWriter &out) const
     out.pod(actWindow_);
     out.pod(actWindowIdx_);
     out.pod(actCount_);
-    out.pod(wq_);
+    std::array<WriteEntry, kWriteQueueDepth> image = wq_;
+    for (int i = 0; i < wqSize_; ++i)
+        image[i].bypasses = bypassesOf(i);
+    out.pod(image);
     out.pod(wqSize_);
 }
 
@@ -266,6 +242,8 @@ DetailedChannel::loadState(StateReader &in)
     in.pod(actCount_);
     in.pod(wq_);
     in.pod(wqSize_);
+    for (int i = 0; i < std::min(wqSize_, kWriteQueueDepth); ++i)
+        wq_[i].bypasses = readsServiced_ - wq_[i].bypasses;
 }
 
 DetailedBackend::DetailedBackend(const DramOrganization &org,

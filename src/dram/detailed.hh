@@ -63,8 +63,13 @@ class DetailedChannel
 
     int writeQueueSize() const { return wqSize_; }
 
-    /** Largest bypass count over the queued writes (invariant hook). */
-    std::uint32_t maxQueuedBypasses() const;
+    /** Largest bypass count over the queued writes (invariant hook):
+     *  the oldest write's, since every read bypasses them all. */
+    std::uint32_t
+    maxQueuedBypasses() const
+    {
+        return wqSize_ > 0 ? bypassesOf(0) : 0;
+    }
 
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
@@ -80,14 +85,29 @@ class DetailedChannel
         Cycle prechargeOkAt = 0; //!< earliest precharge (tRTP / tWR)
     };
 
+    /**
+     * One write-queue slot, in the checkpoint's layout. The image
+     * stores each entry's bypass count; in memory a queued entry
+     * (index < wqSize_) instead holds readsServiced_ at its enqueue,
+     * so its count is one subtraction and a read bumps no entry. A
+     * slot past wqSize_ keeps the count it had when it left the
+     * queue, as the image always recorded it.
+     */
     struct WriteEntry
     {
         std::uint64_t row = 0;
         std::uint32_t bank = 0;
         std::uint32_t bytes = 0;
-        std::uint32_t bypasses = 0;
-        std::uint32_t pad = 0; //!< keep the checkpoint image defined
+        std::uint32_t bypasses = 0; //!< enqueue stamp while queued
+        std::uint32_t pad = 0;      //!< keep the checkpoint image defined
     };
+
+    /** Bypass count of queued entry `idx` (< wqSize_). */
+    std::uint32_t
+    bypassesOf(int idx) const
+    {
+        return readsServiced_ - wq_[idx].bypasses;
+    }
 
     Cycle activateAllowedAt(Cycle t) const;
     void noteActivate(Cycle t);
@@ -102,10 +122,8 @@ class DetailedChannel
      *  oldest otherwise). */
     void drainOne(Cycle now);
 
-    /** Retire the oldest write that hit the starvation cap. */
-    void drainStarved(Cycle now);
-
-    void removeQueued(int idx);
+    /** Retire queue entry `idx` as a write command at `now`. */
+    void retire(int idx, Cycle now);
 
     DramTimingCpu timing_;
     std::vector<BankState> banks_;
@@ -121,6 +139,9 @@ class DetailedChannel
      *  (state_io.hh restores vectors in place). */
     std::array<WriteEntry, kWriteQueueDepth> wq_{};
     int wqSize_ = 0;
+    /** Reads serviced (mod 2^32); not checkpointed -- only its
+     *  distance to the queued entries' stamps is state. */
+    std::uint32_t readsServiced_ = 0;
     DramChannelStats stats_;
     MemoryQueueStats qstats_;
 };

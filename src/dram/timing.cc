@@ -1,6 +1,41 @@
 #include "dram/timing.hh"
 
+#include <bit>
+
 namespace unison {
+
+DramTimingCpu
+DramTimingCpu::fromParams(const DramTimingParams &p)
+{
+    DramTimingCpu t;
+    t.cpuPerDramCycle = kCpuClockMhz / p.clockMhz;
+    t.cas = t.dramToCpuCycles(p.tCAS);
+    t.rcd = t.dramToCpuCycles(p.tRCD);
+    t.rp = t.dramToCpuCycles(p.tRP);
+    t.ras = t.dramToCpuCycles(p.tRAS);
+    t.rc = t.dramToCpuCycles(p.tRC);
+    t.wr = t.dramToCpuCycles(p.tWR);
+    t.wtr = t.dramToCpuCycles(p.tWTR);
+    t.rtp = t.dramToCpuCycles(p.tRTP);
+    t.rrd = t.dramToCpuCycles(p.tRRD);
+    t.faw = t.dramToCpuCycles(p.tFAW);
+    t.refi = t.dramToCpuCycles(p.tREFI);
+    t.rfc = t.dramToCpuCycles(p.tRFC);
+    t.busBytesPerDramCycle = p.busBytesPerCycle;
+
+    const std::uint32_t bus = p.busBytesPerCycle;
+    if (std::has_single_bit(bus))
+        t.busShift_ = std::countr_zero(bus);
+    // One entry per DRAM-cycle count of a transfer up to one row.
+    const std::uint32_t row_cycles = (kRowBytes + bus - 1) / bus;
+    auto table = std::make_shared<std::vector<Cycle>>(row_cycles + 1);
+    for (std::uint32_t d = 0; d <= row_cycles; ++d)
+        (*table)[d] = t.dramToCpuCycles(d);
+    t.burstTable_ = table->data();
+    t.burstTableSize_ = row_cycles + 1;
+    t.burstOwner_ = std::move(table);
+    return t;
+}
 
 DramTimingParams
 stackedDramTiming()

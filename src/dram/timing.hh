@@ -15,7 +15,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -64,40 +66,44 @@ struct DramTimingCpu
     std::uint32_t busBytesPerDramCycle = 16;
 
     /** Construct from DRAM-clock parameters. */
-    static DramTimingCpu
-    fromParams(const DramTimingParams &p)
-    {
-        DramTimingCpu t;
-        t.cpuPerDramCycle = kCpuClockMhz / p.clockMhz;
-        auto conv = [&](std::uint32_t dram_cycles) {
-            return static_cast<Cycle>(
-                std::llround(std::ceil(dram_cycles * t.cpuPerDramCycle)));
-        };
-        t.cas = conv(p.tCAS);
-        t.rcd = conv(p.tRCD);
-        t.rp = conv(p.tRP);
-        t.ras = conv(p.tRAS);
-        t.rc = conv(p.tRC);
-        t.wr = conv(p.tWR);
-        t.wtr = conv(p.tWTR);
-        t.rtp = conv(p.tRTP);
-        t.rrd = conv(p.tRRD);
-        t.faw = conv(p.tFAW);
-        t.refi = conv(p.tREFI);
-        t.rfc = conv(p.tRFC);
-        t.busBytesPerDramCycle = p.busBytesPerCycle;
-        return t;
-    }
+    static DramTimingCpu fromParams(const DramTimingParams &p);
 
-    /** CPU cycles to move `bytes` over the data bus. */
+    /**
+     * CPU cycles to move `bytes` over the data bus:
+     * llround(ceil(dram_cycles * cpuPerDramCycle)). Every transfer up
+     * to one row is a lookup in a table fromParams fills with that
+     * same expression, indexed by a shift on power-of-two buses; only
+     * longer transfers evaluate it in floating point.
+     */
     Cycle
     burstCycles(std::uint32_t bytes) const
     {
         const std::uint32_t dram_cycles =
-            (bytes + busBytesPerDramCycle - 1) / busBytesPerDramCycle;
-        return static_cast<Cycle>(std::llround(
-            std::ceil(dram_cycles * cpuPerDramCycle)));
+            busShift_ >= 0
+                ? (bytes + busBytesPerDramCycle - 1) >> busShift_
+                : (bytes + busBytesPerDramCycle - 1) /
+                      busBytesPerDramCycle;
+        if (dram_cycles < burstTableSize_)
+            return burstTable_[dram_cycles];
+        return dramToCpuCycles(dram_cycles);
     }
+
+    /** The conversion every timing field and burst goes through. */
+    Cycle
+    dramToCpuCycles(std::uint32_t dram_cycles) const
+    {
+        return static_cast<Cycle>(
+            std::llround(std::ceil(dram_cycles * cpuPerDramCycle)));
+    }
+
+  private:
+    /** Burst cycles for 0..burstTableSize_-1 DRAM cycles; shared by
+     *  every copy (each channel holds one), never written after
+     *  fromParams. */
+    std::shared_ptr<const std::vector<Cycle>> burstOwner_;
+    const Cycle *burstTable_ = nullptr;
+    std::uint32_t burstTableSize_ = 0;
+    int busShift_ = -1; //!< log2(bus width); -1 if not a power of two
 };
 
 /**

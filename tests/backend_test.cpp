@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/state_io.hh"
 #include "dram/backend.hh"
@@ -280,6 +284,445 @@ TEST(DetailedChannel, StateRoundTripResumesIdentically)
         ASSERT_EQ(ra.rowHit, rb.rowHit) << "access " << i;
     }
 }
+
+// ------------------------- O(1) read path == the O(queue) controller
+
+/**
+ * The detailed channel as it was before its read path became O(1):
+ * every read bumps every queued write's bypass count, and the
+ * starvation check scans the whole queue. Same timing arithmetic,
+ * same checkpoint image, kept here as the executable reference.
+ */
+class ScanningDetailedChannel
+{
+  public:
+    ScanningDetailedChannel(const DramTimingCpu &timing, int num_banks)
+        : timing_(timing), banks_(num_banks)
+    {
+        nextRefreshAt_ = timing_.refi;
+    }
+
+    DramAccessTiming
+    access(int bank_idx, std::uint64_t row, std::uint32_t bytes,
+           bool is_write, Cycle earliest)
+    {
+        if (is_write) {
+            if (wqSize_ == DetailedChannel::kWriteQueueDepth) {
+                ++qstats_.writeDrains;
+                drainOne(earliest);
+            }
+            WriteEntry &entry = wq_[wqSize_++];
+            entry.row = row;
+            entry.bank = static_cast<std::uint32_t>(bank_idx);
+            entry.bytes = bytes;
+            entry.bypasses = 0;
+            int bucket = 0;
+            for (int size = wqSize_;
+                 size > 0 &&
+                 bucket < MemoryQueueStats::kOccupancyBuckets - 1;
+                 size >>= 1)
+                ++bucket;
+            ++qstats_.occupancy[bucket];
+            if (wqSize_ >= DetailedChannel::kWriteHighWatermark) {
+                ++qstats_.writeDrains;
+                while (wqSize_ > DetailedChannel::kWriteLowWatermark)
+                    drainOne(earliest);
+            }
+            DramAccessTiming result;
+            result.completion = earliest;
+            return result;
+        }
+        for (int i = 0; i < wqSize_; ++i)
+            ++wq_[i].bypasses;
+        while (maxQueuedBypasses() >= kCap) {
+            ++qstats_.starvationDrains;
+            drainStarved(earliest);
+        }
+        return performCommand(bank_idx, row, bytes, false, earliest);
+    }
+
+    std::uint32_t
+    maxQueuedBypasses() const
+    {
+        std::uint32_t max_bypasses = 0;
+        for (int i = 0; i < wqSize_; ++i)
+            max_bypasses = std::max(max_bypasses, wq_[i].bypasses);
+        return max_bypasses;
+    }
+
+    /** Bypass counts never grow from the oldest queued write on. */
+    bool
+    bypassesNonIncreasing() const
+    {
+        for (int i = 1; i < wqSize_; ++i) {
+            if (wq_[i].bypasses > wq_[i - 1].bypasses)
+                return false;
+        }
+        return true;
+    }
+
+    int writeQueueSize() const { return wqSize_; }
+    const DramChannelStats &stats() const { return stats_; }
+    const MemoryQueueStats &queueStats() const { return qstats_; }
+
+    void
+    saveState(StateWriter &out) const
+    {
+        out.podVector(banks_);
+        out.pod(busFreeAt_);
+        out.pod(lastBurstWasWrite_);
+        out.pod(lastActivate_);
+        out.pod(nextRefreshAt_);
+        out.pod(refreshBusyUntil_);
+        out.pod(actWindow_);
+        out.pod(actWindowIdx_);
+        out.pod(actCount_);
+        out.pod(wq_);
+        out.pod(wqSize_);
+    }
+
+    void
+    loadState(StateReader &in)
+    {
+        in.podVectorExact(banks_);
+        in.pod(busFreeAt_);
+        in.pod(lastBurstWasWrite_);
+        in.pod(lastActivate_);
+        in.pod(nextRefreshAt_);
+        in.pod(refreshBusyUntil_);
+        in.pod(actWindow_);
+        in.pod(actWindowIdx_);
+        in.pod(actCount_);
+        in.pod(wq_);
+        in.pod(wqSize_);
+    }
+
+  private:
+    static constexpr std::uint64_t kNoRow = ~0ull;
+    static constexpr std::uint32_t kCap = DetailedChannel::kStarvationCap;
+
+    struct BankState
+    {
+        std::uint64_t openRow = kNoRow;
+        Cycle busyUntil = 0;
+        Cycle activatedAt = 0;
+        Cycle prechargeOkAt = 0;
+    };
+
+    struct WriteEntry
+    {
+        std::uint64_t row = 0;
+        std::uint32_t bank = 0;
+        std::uint32_t bytes = 0;
+        std::uint32_t bypasses = 0;
+        std::uint32_t pad = 0;
+    };
+
+    Cycle
+    activateAllowedAt(Cycle t) const
+    {
+        Cycle allowed = t;
+        if (actCount_ >= 1)
+            allowed = std::max(allowed, lastActivate_ + timing_.rrd);
+        if (actCount_ >= 4)
+            allowed =
+                std::max(allowed, actWindow_[actWindowIdx_] + timing_.faw);
+        return allowed;
+    }
+
+    void
+    noteActivate(Cycle t)
+    {
+        lastActivate_ = t;
+        actWindow_[actWindowIdx_] = t;
+        actWindowIdx_ = (actWindowIdx_ + 1) % 4;
+        ++actCount_;
+        ++stats_.activations;
+    }
+
+    Cycle
+    applyRefresh(Cycle t)
+    {
+        if (timing_.refi == 0 || nextRefreshAt_ > t)
+            return t;
+        const std::uint64_t elapsed =
+            (t - nextRefreshAt_) / timing_.refi + 1;
+        const Cycle last_window =
+            nextRefreshAt_ + (elapsed - 1) * timing_.refi;
+        refreshBusyUntil_ = last_window + timing_.rfc;
+        nextRefreshAt_ = last_window + timing_.refi;
+        stats_.refreshes += elapsed;
+        for (BankState &bank : banks_) {
+            bank.openRow = kNoRow;
+            bank.busyUntil = std::max(bank.busyUntil, refreshBusyUntil_);
+        }
+        return std::max(t, refreshBusyUntil_);
+    }
+
+    DramAccessTiming
+    performCommand(int bank_idx, std::uint64_t row, std::uint32_t bytes,
+                   bool is_write, Cycle now)
+    {
+        BankState &bank = banks_[bank_idx];
+        const Cycle start = applyRefresh(std::max(now, bank.busyUntil));
+        DramAccessTiming result;
+        Cycle col_ready;
+        if (bank.openRow == row) {
+            result.rowHit = true;
+            ++stats_.rowHits;
+            col_ready = start;
+        } else if (bank.openRow == kNoRow) {
+            ++stats_.rowEmpty;
+            const Cycle act = activateAllowedAt(
+                std::max(start, bank.activatedAt + timing_.rc));
+            noteActivate(act);
+            bank.activatedAt = act;
+            col_ready = act + timing_.rcd;
+            bank.openRow = row;
+        } else {
+            ++stats_.rowConflicts;
+            const Cycle pre = std::max({start,
+                                        bank.activatedAt + timing_.ras,
+                                        bank.prechargeOkAt});
+            const Cycle act = activateAllowedAt(
+                std::max(pre + timing_.rp, bank.activatedAt + timing_.rc));
+            noteActivate(act);
+            bank.activatedAt = act;
+            col_ready = act + timing_.rcd;
+            bank.openRow = row;
+        }
+        Cycle bus_ready = busFreeAt_;
+        if (!is_write && lastBurstWasWrite_)
+            bus_ready += timing_.wtr;
+        const Cycle data_start =
+            std::max(col_ready + timing_.cas, bus_ready);
+        const Cycle burst = timing_.dramToCpuCycles(
+            (bytes + timing_.busBytesPerDramCycle - 1) /
+            timing_.busBytesPerDramCycle);
+        const Cycle data_end = data_start + burst;
+        busFreeAt_ = data_end;
+        lastBurstWasWrite_ = is_write;
+        bank.busyUntil = col_ready + burst;
+        if (is_write) {
+            bank.prechargeOkAt = data_end + timing_.wr;
+            ++stats_.writes;
+            stats_.bytesWritten += bytes;
+        } else {
+            bank.prechargeOkAt = col_ready + timing_.rtp;
+            ++stats_.reads;
+            stats_.bytesRead += bytes;
+        }
+        result.completion = data_end;
+        return result;
+    }
+
+    void
+    removeQueued(int idx)
+    {
+        for (int i = idx; i + 1 < wqSize_; ++i)
+            wq_[i] = wq_[i + 1];
+        --wqSize_;
+    }
+
+    void
+    drainOne(Cycle now)
+    {
+        int pick = 0;
+        for (int i = 0; i < wqSize_; ++i) {
+            if (banks_[wq_[i].bank].openRow == wq_[i].row) {
+                pick = i;
+                break;
+            }
+        }
+        if (pick != 0)
+            ++qstats_.frfcfsReorders;
+        const WriteEntry entry = wq_[pick];
+        removeQueued(pick);
+        performCommand(static_cast<int>(entry.bank), entry.row,
+                       entry.bytes, true, now);
+        ++qstats_.drainedWrites;
+    }
+
+    void
+    drainStarved(Cycle now)
+    {
+        for (int i = 0; i < wqSize_; ++i) {
+            if (wq_[i].bypasses < kCap)
+                continue;
+            if (i != 0)
+                ++qstats_.frfcfsReorders;
+            const WriteEntry entry = wq_[i];
+            removeQueued(i);
+            performCommand(static_cast<int>(entry.bank), entry.row,
+                           entry.bytes, true, now);
+            ++qstats_.drainedWrites;
+            return;
+        }
+    }
+
+    DramTimingCpu timing_;
+    std::vector<BankState> banks_;
+    Cycle busFreeAt_ = 0;
+    bool lastBurstWasWrite_ = false;
+    Cycle lastActivate_ = 0;
+    Cycle nextRefreshAt_ = 0;
+    Cycle refreshBusyUntil_ = 0;
+    Cycle actWindow_[4] = {0, 0, 0, 0};
+    int actWindowIdx_ = 0;
+    std::uint64_t actCount_ = 0;
+    std::array<WriteEntry, DetailedChannel::kWriteQueueDepth> wq_{};
+    int wqSize_ = 0;
+    DramChannelStats stats_;
+    MemoryQueueStats qstats_;
+};
+
+template <typename Channel>
+std::vector<std::uint8_t>
+imageOf(const Channel &ch)
+{
+    StateWriter out;
+    ch.saveState(out);
+    return std::move(out).take();
+}
+
+template <typename To>
+void
+restore(To &ch, const std::vector<std::uint8_t> &bytes)
+{
+    StateReader in(bytes);
+    ch.loadState(in);
+    ASSERT_TRUE(in.ok());
+    in.expectEnd();
+    ASSERT_TRUE(in.ok());
+}
+
+#define SAME_FIELD(T, name) same = same && a.name.value() == b.name.value();
+
+bool
+sameStats(const DramChannelStats &a, const DramChannelStats &b)
+{
+    bool same = true;
+    UNISON_DRAM_TRAFFIC_FIELDS(SAME_FIELD, )
+    return same;
+}
+#undef SAME_FIELD
+
+bool
+sameQueueStats(const MemoryQueueStats &a, const MemoryQueueStats &b)
+{
+    return a.writeDrains == b.writeDrains &&
+           a.drainedWrites == b.drainedWrites &&
+           a.frfcfsReorders == b.frfcfsReorders &&
+           a.starvationDrains == b.starvationDrains &&
+           std::equal(std::begin(a.occupancy), std::end(a.occupancy),
+                      std::begin(b.occupancy));
+}
+
+/** One seeded request stream's shape. */
+struct StreamShape
+{
+    std::uint64_t seed;
+    int writeOneIn;      //!< a write every ~N requests
+    std::uint64_t banks; //!< drawn from [0, banks)
+    std::uint64_t rows;  //!< drawn from [0, rows)
+    std::uint64_t gap;   //!< inter-arrival drawn from [0, gap)
+    bool refresh;
+};
+
+class DetailedVsScanning : public ::testing::TestWithParam<StreamShape>
+{
+};
+
+TEST_P(DetailedVsScanning, EveryStepMatchesTheReference)
+{
+    const StreamShape shape = GetParam();
+    DramTimingParams params = stackedDramTiming();
+    if (shape.refresh)
+        params.tREFI = 3120;
+    const DramTimingCpu t = DramTimingCpu::fromParams(params);
+    constexpr int kBanks = 8;
+    DetailedChannel fast(t, kBanks);
+    ScanningDetailedChannel ref(t, kBanks);
+
+    const std::uint32_t sizes[] = {32, 64, 64, 64, 128, 960, 4096};
+    Rng rng(shape.seed);
+    Cycle at = 0;
+    int mid_queue_checks = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const bool is_write =
+            rng.below(static_cast<std::uint64_t>(shape.writeOneIn)) == 0;
+        const int bank = static_cast<int>(rng.below(shape.banks));
+        const std::uint64_t row = rng.below(shape.rows);
+        const std::uint32_t bytes = sizes[rng.below(7)];
+        at += rng.below(shape.gap);
+
+        const DramAccessTiming a = fast.access(bank, row, bytes,
+                                               is_write, at);
+        const DramAccessTiming b = ref.access(bank, row, bytes,
+                                              is_write, at);
+        ASSERT_EQ(a.completion, b.completion) << "access " << i;
+        ASSERT_EQ(a.rowHit, b.rowHit) << "access " << i;
+        ASSERT_EQ(fast.writeQueueSize(), ref.writeQueueSize());
+        ASSERT_EQ(fast.maxQueuedBypasses(), ref.maxQueuedBypasses());
+        ASSERT_TRUE(ref.bypassesNonIncreasing()) << "access " << i;
+        const std::vector<std::uint8_t> image = imageOf(fast);
+        ASSERT_EQ(image, imageOf(ref)) << "access " << i;
+        ASSERT_TRUE(sameStats(fast.stats(), ref.stats())) << "access " << i;
+        ASSERT_TRUE(sameQueueStats(fast.queueStats(), ref.queueStats()))
+            << "access " << i;
+
+        // Mid-queue checkpoints, both ways: the reference's image
+        // resumes in the new channel and the new channel's in the
+        // reference, and each continues in step with the original.
+        if (i % 997 == 0 && fast.writeQueueSize() > 0) {
+            ++mid_queue_checks;
+            DetailedChannel fast_resumed(t, kBanks);
+            restore(fast_resumed, imageOf(ref));
+            ScanningDetailedChannel ref_resumed(t, kBanks);
+            restore(ref_resumed, image);
+            Rng tail = rng;
+            Cycle tail_at = at;
+            DetailedChannel fast_copy = fast;
+            for (int k = 0; k < 500; ++k) {
+                const bool w = tail.below(static_cast<std::uint64_t>(
+                                   shape.writeOneIn)) == 0;
+                const int bk = static_cast<int>(tail.below(shape.banks));
+                const std::uint64_t r = tail.below(shape.rows);
+                const std::uint32_t by = sizes[tail.below(7)];
+                tail_at += tail.below(shape.gap);
+                const Cycle want =
+                    fast_copy.access(bk, r, by, w, tail_at).completion;
+                ASSERT_EQ(fast_resumed.access(bk, r, by, w, tail_at)
+                              .completion,
+                          want)
+                    << "resumed at " << i << ", step " << k;
+                ASSERT_EQ(ref_resumed.access(bk, r, by, w, tail_at)
+                              .completion,
+                          want)
+                    << "resumed at " << i << ", step " << k;
+            }
+            ASSERT_EQ(imageOf(fast_resumed), imageOf(fast_copy));
+            ASSERT_EQ(imageOf(ref_resumed), imageOf(fast_copy));
+        }
+    }
+    EXPECT_GT(mid_queue_checks, 0);
+    // The streams must reach the paths under test.
+    EXPECT_GT(fast.queueStats().drainedWrites, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, DetailedVsScanning,
+    ::testing::Values(
+        // Read-heavy: starvation drains dominate.
+        StreamShape{1, 12, 8, 64, 40, false},
+        // Write-heavy: watermark drains dominate.
+        StreamShape{2, 2, 8, 64, 40, false},
+        // Few rows: FR-FCFS reorders find open rows deep in the queue.
+        StreamShape{3, 3, 4, 3, 20, false},
+        // Back-to-back arrivals under periodic refresh.
+        StreamShape{4, 4, 8, 16, 4, true},
+        // Balanced, one bank.
+        StreamShape{5, 2, 1, 8, 60, true}));
 
 } // namespace
 } // namespace unison

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hh"
 #include "dram/channel.hh"
 #include "dram/dram.hh"
@@ -56,6 +58,46 @@ TEST(DramTiming, BurstCycles)
     const DramTimingCpu oc = offchipCpu();
     // 64-bit DDR3-1600: 16 B per DRAM cycle -> 64 B = 4 -> 15 CPU.
     EXPECT_EQ(oc.burstCycles(64), 15u);
+}
+
+/** The float formula every burst came from before the table. */
+Cycle
+formulaBurst(const DramTimingParams &p, std::uint32_t bytes)
+{
+    const std::uint32_t dram_cycles =
+        (bytes + p.busBytesPerCycle - 1) / p.busBytesPerCycle;
+    return static_cast<Cycle>(std::llround(
+        std::ceil(dram_cycles * (kCpuClockMhz / p.clockMhz))));
+}
+
+TEST(DramTiming, BurstTableMatchesFormulaExactly)
+{
+    DramTimingParams odd_a = offChipDramTiming();
+    odd_a.clockMhz = 1333.0;
+    odd_a.busBytesPerCycle = 8;
+    DramTimingParams odd_b = offChipDramTiming();
+    odd_b.clockMhz = 1066.0;
+    odd_b.busBytesPerCycle = 16;
+    // A bus width that is not a power of two takes the divide path.
+    DramTimingParams odd_c = stackedDramTiming();
+    odd_c.clockMhz = 933.0;
+    odd_c.busBytesPerCycle = 24;
+
+    for (const DramTimingParams &p :
+         {stackedDramTiming(), offChipDramTiming(), odd_a, odd_b, odd_c}) {
+        const DramTimingCpu t = DramTimingCpu::fromParams(p);
+        // Every transfer up to one row is a table lookup ...
+        for (std::uint32_t bytes = 1; bytes <= kRowBytes; ++bytes)
+            ASSERT_EQ(t.burstCycles(bytes), formulaBurst(p, bytes))
+                << p.clockMhz << " MHz, " << p.busBytesPerCycle
+                << " B bus, " << bytes << " B";
+        // ... and longer ones fall back to the formula itself.
+        for (std::uint32_t bytes :
+             {kRowBytes + 1, kRowBytes + p.busBytesPerCycle,
+              2 * kRowBytes + 7, 16 * kRowBytes, 1u << 30})
+            ASSERT_EQ(t.burstCycles(bytes), formulaBurst(p, bytes))
+                << p.clockMhz << " MHz, " << bytes << " B";
+    }
 }
 
 TEST(DramChannel, RowHitLatency)
